@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify lint vet build test race smoke fuzz-short fault-smoke serve-smoke load-check chaos-smoke jobs-smoke peer-smoke fleet-smoke bench bench-check tables tables-quick clean
+.PHONY: verify lint vet build test race stress smoke fuzz-short fault-smoke serve-smoke load-check chaos-smoke jobs-smoke peer-smoke fleet-smoke bench bench-check tables tables-quick clean
 
 # verify is the tier-1 gate: lint, build, tests, the race check across the
 # whole module (short mode keeps it minutes, not hours), a results-file
@@ -15,8 +15,11 @@ GO ?= go
 # dip-report/v1, fail structurally when a peer dies, and drain cleanly),
 # and the fleet-backed serving drill (fleet-smoke: dipserve -peers on a
 # standing dippeer fleet, one peer killed mid-load, structured 502s and
-# recovery on the survivors, clean drain end to end).
-verify: lint build test race smoke fuzz-short fault-smoke serve-smoke load-check chaos-smoke jobs-smoke peer-smoke fleet-smoke
+# recovery on the survivors, clean drain end to end). test and race run
+# every package at one and four procs, and stress repeats the packages
+# with the most concurrency, so a failure that needs several cores, or
+# a lucky interleaving, cannot pass on a single-CPU box.
+verify: lint build test race stress smoke fuzz-short fault-smoke serve-smoke load-check chaos-smoke jobs-smoke peer-smoke fleet-smoke
 
 # lint fails on unformatted files or vet findings.
 lint:
@@ -33,12 +36,18 @@ build:
 	$(GO) build ./...
 
 test:
-	$(GO) test ./...
+	$(GO) test -cpu 1,4 ./...
 
 # race covers every package: the concurrent engine and trial-harness pool
 # have real concurrency, and the rest is cheap under -short.
 race:
-	$(GO) test -race -short ./...
+	$(GO) test -race -short -cpu 1,4 ./...
+
+# stress reruns the packages with shared pools, sockets, worker pools
+# and shutdown races several times over, so an interleaving that fails
+# one run in a few shows up here.
+stress:
+	$(GO) test -count=3 -short ./internal/network ./internal/peer ./internal/jobs ./cmd/dipserve
 
 # smoke emits a quick machine-readable benchmark file and round-trips it
 # through the schema validator, then re-validates every committed results

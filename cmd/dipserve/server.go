@@ -424,12 +424,11 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if !s.awaitJob(j) {
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: errServerStopped.Error()})
+		writeRunError(w, errServerStopped, req.Protocol)
 		return
 	}
 	if j.err != nil {
-		status, phase := mapRunError(j.err)
-		writeJSON(w, status, errorBody{Error: j.err.Error(), Phase: phase, Protocol: req.Protocol})
+		writeRunError(w, j.err, req.Protocol)
 		return
 	}
 	// Encode to a buffer first: one write sets Content-Length and puts the
@@ -512,12 +511,11 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if !s.awaitJob(j) {
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: errServerStopped.Error()})
+		writeRunError(w, errServerStopped, "")
 		return
 	}
-	if j.err != nil { // pre-run failure (client gone before a worker started)
-		status, phase := mapRunError(j.err)
-		writeJSON(w, status, errorBody{Error: j.err.Error(), Phase: phase})
+	if j.err != nil { // pre-run failure (client gone, or swept by stop())
+		writeRunError(w, j.err, "")
 		return
 	}
 	// Assemble the array by hand from per-item Encode output so each
@@ -601,14 +599,30 @@ func decodeStatus(err error) int {
 	return http.StatusBadRequest
 }
 
+// writeRunError answers a failed request with its mapped status and
+// phase; a 503 carries the same Retry-After hint every other drain and
+// backpressure answer does.
+func writeRunError(w http.ResponseWriter, err error, protocol string) {
+	status, phase := mapRunError(err)
+	if status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", "1")
+	}
+	writeJSON(w, status, errorBody{Error: err.Error(), Phase: phase, Protocol: protocol})
+}
+
 // mapRunError translates a run failure into an HTTP status. The taxonomy:
-// engine phases carry the distinction between a bad instance (setup), an
-// exhausted deadline, and a genuine protocol-level failure; request
-// validation surfaces as dip.RequestError (the client's fault, 400); and
-// anything unclassified is an internal failure, 500 — never blamed on
-// the client, because an unrecognized error is by definition one the
-// request did not cause in any way the service can name.
+// a request stop() swept out of the queue never ran, so it gets the drain
+// answer (503, retry elsewhere or later); engine phases carry the
+// distinction between a bad instance (setup), an exhausted deadline, and
+// a genuine protocol-level failure; request validation surfaces as
+// dip.RequestError (the client's fault, 400); and anything unclassified
+// is an internal failure, 500 — never blamed on the client, because an
+// unrecognized error is by definition one the request did not cause in
+// any way the service can name.
 func mapRunError(err error) (status int, phase string) {
+	if errors.Is(err, errServerStopped) {
+		return http.StatusServiceUnavailable, "draining"
+	}
 	var rerr *network.RunError
 	if errors.As(err, &rerr) {
 		switch rerr.Phase {

@@ -361,7 +361,7 @@ func TestFleetUnderChaos(t *testing.T) {
 	t.Run("drop", func(t *testing.T) {
 		fleet, err := DialFleet(startDipPeers(t, 2), FleetOptions{
 			IOTimeout:  400 * time.Millisecond,
-			LinkFaults: &LinkFaults{Seed: 11, DropProb: 0.05},
+			LinkFaults: &LinkFaults{Seed: 11, DropProb: 0.25},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -11,21 +11,24 @@ import (
 )
 
 // LinkFaults is a seed-deterministic per-link fault policy for fleet
-// transports: each coordinator→peer data frame may be delayed or dropped,
-// decided by hashing (seed, peer, frame ordinal) so a schedule replays
-// exactly under the same seed. Delays are cancel-aware (a canceled run
-// returns promptly, it does not sleep out the injected latency); drops
-// starve the session until a deadline turns them into a structured
-// transport error — a partition can fail a run but never flip a decision.
+// transports: each coordinator→peer step batch — the one frame that
+// carries a schedule step's responses or exchange copies for every node
+// the peer hosts — may be delayed or dropped, decided by hashing (seed,
+// peer, batch ordinal within the run) so a schedule replays exactly under
+// the same seed. Delays are cancel-aware (a canceled run returns
+// promptly, it does not sleep out the injected latency); a drop starves
+// every node of that peer for the step, until a deadline turns it into a
+// structured transport error — a partition can fail a run but never flip
+// a decision.
 type LinkFaults struct {
 	// Seed keys the per-frame decisions; runs with equal seeds see the
 	// identical delay/drop schedule.
 	Seed int64 `json:"seed"`
-	// Delay is the injected latency; applied to a frame with probability
-	// DelayProb (0 disables, 1 delays every frame).
+	// Delay is the injected latency; applied to a batch with probability
+	// DelayProb (0 disables, 1 delays every batch).
 	Delay     time.Duration `json:"delay_ns,omitempty"`
 	DelayProb float64       `json:"delay_prob,omitempty"`
-	// DropProb silently discards a frame with the given probability,
+	// DropProb silently discards a batch with the given probability,
 	// emulating a lossy or partitioned link.
 	DropProb float64 `json:"drop_prob,omitempty"`
 }
@@ -146,7 +149,8 @@ type PeerStats struct {
 	SessionsFailed    int64 `json:"sessions_failed"`
 	FramesSent        int64 `json:"frames_sent"`
 	FramesReceived    int64 `json:"frames_received"`
-	// FramesDropped counts outbound frames a LinkFaults policy swallowed.
+	// FramesDropped counts outbound batch frames a LinkFaults policy
+	// swallowed.
 	FramesDropped int64 `json:"frames_dropped,omitempty"`
 	BytesSent     int64 `json:"bytes_sent"`
 	BytesReceived int64 `json:"bytes_received"`

@@ -25,9 +25,10 @@ func restoreStatePool(t *testing.T, shards, capacity int) {
 }
 
 // TestShardedPoolCapacityLayout pins the capacity-distribution contract:
-// the configured total is spread across shards (rounded up to one state
-// per shard) with the remainder as the overflow budget, and the aggregate
-// snapshot reports the true bound.
+// the configured total is spread across shards with the remainder as the
+// overflow budget, and the aggregate snapshot reports exactly the
+// configured bound — with more shards than states, the shards get
+// nothing and the overflow list holds them all.
 func TestShardedPoolCapacityLayout(t *testing.T) {
 	cases := []struct {
 		shards, nominal  int
@@ -35,7 +36,7 @@ func TestShardedPoolCapacityLayout(t *testing.T) {
 	}{
 		{4, 32, 8, 0},
 		{4, 30, 7, 2},
-		{8, 4, 1, 0}, // rounded up: more shards than states
+		{8, 4, 0, 4}, // more shards than states: all in overflow
 		{1, 0, defaultPoolCap, 0},
 	}
 	for _, c := range cases {

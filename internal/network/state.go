@@ -181,23 +181,18 @@ func init() {
 
 // configure rebuilds the shard layout for a total capacity of nominal
 // states (0 selects the default). The capacity is spread evenly across the
-// shards — rounded up to at least one state per shard so no shard
-// degenerates to pass-through — with the remainder as the overflow list's
-// budget. Retained states already in the lists are dropped; configure is
-// called at init, from SetStatePoolCapacity, and from tests.
+// shards with the remainder as the overflow list's budget, so the total
+// bound is exactly the configured one: below one state per shard, the
+// shards get capacity zero and every release spills to the overflow list.
+// Retained states already in the lists are dropped; configure is called
+// at init, from SetStatePoolCapacity, and from tests.
 func (p *pool) configure(shards, nominal int) {
 	total := nominal
 	if total <= 0 {
 		total = defaultPoolCap
 	}
 	perShard := total / shards
-	if perShard < 1 {
-		perShard = 1
-	}
 	overflowCap := total - perShard*shards
-	if overflowCap < 0 {
-		overflowCap = 0
-	}
 	fresh := make([]poolShard, shards)
 	for i := range fresh {
 		fresh[i].cap = perShard
@@ -256,8 +251,8 @@ func (sh *poolShard) snapshot() PoolShardStats {
 // PoolStats is a snapshot of the sharded engine-state pool, exported for
 // service metrics: a hit ratio near 1 means steady-state traffic runs
 // allocation-free through the pool. The top-level fields aggregate across
-// all shards (Capacity is the true retained-state bound, which may round
-// the configured capacity up to one state per shard); Shards and Overflow
+// all shards (Capacity is the retained-state bound, equal to the
+// configured capacity); Shards and Overflow
 // break the same numbers down per freelist.
 type PoolStats struct {
 	Capacity int              `json:"capacity"`

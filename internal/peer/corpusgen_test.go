@@ -1,13 +1,10 @@
 package peer
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
-
-	"dip/internal/wire"
 )
 
 // TestWriteFuzzCorpus regenerates the checked-in FuzzPeerFrame seed
@@ -23,37 +20,9 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	framed := func(sess uint32, typ byte, payload []byte) []byte {
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, sess, typ, payload); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	chal, _ := encodeDelivery(0, 3, wire.Message{Data: []byte{0xAB, 0x01}, Bits: 9})
-	resp, _ := encodeDelivery(2, 0, wire.Message{})
-	fwd, _ := encodeDelivery(1, 7, wire.Message{Data: []byte{0xFF}, Bits: 8})
-	ex, _ := encodeExchange(1, 4, 5, true, wire.Message{Data: []byte{0x42}, Bits: 7})
-	corpus := map[string][]byte{
-		"valid-challenge":   framed(1, frameChallenge, chal),
-		"valid-response":    framed(0, frameResponse, resp),
-		"valid-forward":     framed(0xFFFFFFFF, frameForward, fwd),
-		"valid-exchange":    framed(7, frameExchange, ex),
-		"valid-decision":    framed(0x017B2276, frameDecision, encodeDecision(6, true)),
-		"valid-hello":       framed(2, frameHello, []byte(`{"proto":2,"seed":7,"n":4,"nodes":[{"v":0,"neighbors":[1]}]}`)),
-		"valid-error":       framed(3, frameError, []byte(`{"phase":"transport","round":1,"node":2,"message":"x"}`)),
-		"valid-end":         framed(4, frameEnd, nil),
-		"v1-hello":          append([]byte{0, 0, 0, 14, 0x01}, []byte(`{"version":1}`)...),
-		"zero-length":       {0, 0, 0, 0},
-		"sub-header-length": {0, 0, 0, 1, frameEnd},
-		"oversized-claim":   {0xFF, 0xFF, 0xFF, 0xFF, 0x10},
-		"truncated-body":    {0, 0, 1, 0, 0, 0, 0, 1, 0x10, 1, 2, 3},
-		"hostile-bits":      {0, 0, 0, 17, 0, 0, 0, 1, 0x10, 0, 0, 0, 0, 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF},
-		"trailing-garbage":  append(append([]byte{0, 0, 0, byte(5 + len(ex) + 1), 0, 0, 0, 9}, frameExchange), append(ex, 0xEE)...),
-	}
-	for name, data := range corpus {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+	for _, s := range peerFrameSeeds(t) {
+		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", s.data)
+		if err := os.WriteFile(filepath.Join(dir, s.name), []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

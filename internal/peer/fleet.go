@@ -127,7 +127,8 @@ type PeerStats struct {
 	SessionsFailed    int64 `json:"sessions_failed"`
 	FramesSent        int64 `json:"frames_sent"`
 	FramesReceived    int64 `json:"frames_received"`
-	// FramesDropped counts outbound frames a LinkFaults policy swallowed.
+	// FramesDropped counts outbound batch frames a LinkFaults policy
+	// swallowed.
 	FramesDropped int64 `json:"frames_dropped,omitempty"`
 	BytesSent     int64 `json:"bytes_sent"`
 	BytesReceived int64 `json:"bytes_received"`
@@ -260,7 +261,7 @@ func (fc *fleetConn) reader(conn net.Conn, gen int, quit, done chan struct{}) {
 			return
 		}
 		fc.framesIn.Add(1)
-		fc.bytesIn.Add(int64(9 + len(payload)))
+		fc.bytesIn.Add(int64(frameHeader + len(payload)))
 		fc.mu.Lock()
 		s := fc.sinks[id]
 		fc.mu.Unlock()
@@ -337,26 +338,36 @@ func (fc *fleetConn) unregister(id uint32) {
 	fc.mu.Unlock()
 }
 
-// sendFrame writes one frame under the write lock and I/O deadline; a
-// write failure retires the connection so the next run redials.
+// sendFrame writes one control frame (hello, end, error) to the peer.
 func (fc *fleetConn) sendFrame(sess uint32, typ byte, payload []byte) error {
+	frame := append(beginFrame(make([]byte, 0, frameHeader+len(payload)), sess, typ), payload...)
+	if err := sealFrame(frame); err != nil {
+		return err
+	}
+	return fc.write(frame)
+}
+
+// write puts one sealed frame on the wire under the write lock and I/O
+// deadline; a write failure retires the connection so the next run
+// redials.
+func (fc *fleetConn) write(frame []byte) error {
 	fc.mu.Lock()
 	conn, gen := fc.conn, fc.gen
 	fc.mu.Unlock()
 	if conn == nil {
 		return fmt.Errorf("peer %s: not connected", fc.addr)
 	}
-	// wmu serializes whole frames: each writeFrame is a single Write call,
-	// so concurrent runs' frames never interleave on the shared socket.
+	// wmu serializes whole frames: each frame is a single Write call, so
+	// concurrent runs' frames never interleave on the shared socket.
 	fc.wmu.Lock()
 	conn.SetWriteDeadline(time.Now().Add(fc.opts.IOTimeout))
-	err := writeFrame(conn, sess, typ, payload)
+	_, err := conn.Write(frame)
 	fc.wmu.Unlock()
 	if err != nil {
 		fc.teardown(gen, fmt.Errorf("write: %w", err))
 		return fmt.Errorf("peer %s write: %v", fc.addr, err)
 	}
 	fc.framesOut.Add(1)
-	fc.bytesOut.Add(int64(9 + len(payload)))
+	fc.bytesOut.Add(int64(len(frame)))
 	return nil
 }

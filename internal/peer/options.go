@@ -29,7 +29,7 @@ type Options struct {
 	// IOTimeout bounds each blocking wire wait. Zero means
 	// DefaultIOTimeout.
 	IOTimeout time.Duration
-	// LinkFaults, when non-nil, injects seed-deterministic per-frame
+	// LinkFaults, when non-nil, injects seed-deterministic per-batch
 	// delay/drop on the coordinator→peer links (see faults.LinkPolicy).
 	LinkFaults *faults.LinkPolicy
 }

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"dip/internal/core"
 	"dip/internal/faults"
 	"dip/internal/graph"
 	"dip/internal/network"
@@ -29,6 +30,10 @@ import (
 type testParams struct {
 	Spec string `json:"spec"`
 	Bits int    `json:"bits"`
+	// N and Seed shape the sym-dmam fixture, a real protocol of the
+	// paper.
+	N    int   `json:"n,omitempty"`
+	Seed int64 `json:"seed,omitempty"`
 }
 
 func marshalParams(t *testing.T, spec string, bits int) []byte {
@@ -142,6 +147,12 @@ func buildTestSpec(params []byte) (*network.Spec, error) {
 		return inputSpec(), nil
 	case "panic":
 		return panicSpec(), nil
+	case "sym-dmam":
+		p, err := core.NewSymDMAM(p.N, p.Seed)
+		if err != nil {
+			return nil, err
+		}
+		return p.Spec(), nil
 	default:
 		return nil, fmt.Errorf("unknown fixture spec %q", p.Spec)
 	}
@@ -485,18 +496,16 @@ func TestV1ClientRejected(t *testing.T) {
 	}
 }
 
-// TestWrongProtoHelloRejected covers the in-framing version gate: a v2
-// frame whose hello claims the wrong proto is refused with an error
-// naming the required version.
-func TestWrongProtoHelloRejected(t *testing.T) {
+// refusal sends hello as session 9's first frame on a fresh connection
+// and returns the structured error the peer answers with.
+func refusal(t *testing.T, hello []byte) errorFrame {
+	t.Helper()
 	addrs := startFleet(t, 1)
 	conn, err := net.DialTimeout("tcp", addrs[0], 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	hello, _ := json.Marshal(helloFrame{Proto: 1, Seed: 1, N: 2,
-		Nodes: []helloNode{{V: 0, Neighbors: []int{1}}}})
 	if err := writeFrame(conn, 9, frameHello, hello); err != nil {
 		t.Fatal(err)
 	}
@@ -512,9 +521,164 @@ func TestWrongProtoHelloRejected(t *testing.T) {
 	if err := json.Unmarshal(payload, &ef); err != nil {
 		t.Fatal(err)
 	}
+	return ef
+}
+
+// TestWrongProtoHelloRejected covers the in-framing version gate: a
+// binary hello whose proto field names another version is refused with
+// an error naming the required version.
+func TestWrongProtoHelloRejected(t *testing.T) {
+	h := testHello()
+	h.Proto = Version + 1
+	hello, err := encodeHello(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ef := refusal(t, hello)
 	if !strings.Contains(ef.Message, fmt.Sprintf("requires wire protocol %d", Version)) {
 		t.Fatalf("rejection %q does not name the required version", ef.Message)
 	}
+}
+
+// TestV2HelloRejected pins the v2 → v3 downgrade path: a protocol-v2
+// client shares the session-id framing but sent a JSON hello; it gets a
+// structured error frame, decodable by a v2 reader, naming both the
+// version it spoke and version 3.
+func TestV2HelloRejected(t *testing.T) {
+	v2 := []byte(`{"proto":2,"params":{"spec":"echo","bits":8},"seed":1,"n":2,"nodes":[{"v":0,"neighbors":[1]}]}`)
+	ef := refusal(t, v2)
+	if ef.Phase != string(network.PhaseTransport) ||
+		!strings.Contains(ef.Message, "hello proto 2: this peer requires wire protocol 3") {
+		t.Fatalf("v2 rejection = %+v, want a transport error naming protocols 2 and 3", ef)
+	}
+}
+
+// TestBatchDuringWrongStep drives a real Server with a hand-rolled
+// coordinator that breaks the schedule: after the handshake of an echo
+// run (challenge, respond, exchange, decide) it sends an exchange batch
+// where the respond step owes a response batch. The session must refuse
+// it with a structured error naming the step, not misfile the items.
+func TestBatchDuringWrongStep(t *testing.T) {
+	addrs := startFleet(t, 1)
+	conn, err := net.DialTimeout("tcp", addrs[0], 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(conn)
+	hello, err := encodeHello(helloFrame{Proto: Version, Params: marshalParams(t, "echo", 8), Seed: 1, N: 2,
+		Nodes: []helloNode{{V: 0, Neighbors: []int{1}}, {V: 1, Neighbors: []int{0}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(conn, 5, frameHello, hello); err != nil {
+		t.Fatal(err)
+	}
+	expect := func(want byte) []byte {
+		t.Helper()
+		sess, typ, payload, err := readFrame(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sess != 5 || typ != want {
+			t.Fatalf("frame (session %d, type 0x%02x), want (5, 0x%02x): %s", sess, typ, want, payload)
+		}
+		return payload
+	}
+	expect(frameHelloOK)
+	if _, err := decodeBatch(expect(frameChallenge), 0, 0, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	ex := appendBatchHeader(nil, 1, 0, 2)
+	for i := 0; i < 2; i++ {
+		ex, _ = appendMessage(ex, wire.Message{Data: []byte{0xFF}, Bits: 8})
+	}
+	if err := writeFrame(conn, 5, frameExchange, ex); err != nil {
+		t.Fatal(err)
+	}
+	var ef errorFrame
+	if err := json.Unmarshal(expect(frameError), &ef); err != nil {
+		t.Fatal(err)
+	}
+	if ef.Phase != string(network.PhaseTransport) || !strings.Contains(ef.Message, "during respond step") {
+		t.Fatalf("wrong-step batch answered %+v, want a transport error naming the respond step", ef)
+	}
+}
+
+// TestFramesPerRunIndependentOfN is the batching contract: a run costs
+// one frame per (peer, step) in each direction the step's traffic flows,
+// plus hello, helloOK and end per peer — a count the schedule fixes and
+// the node count does not enter. Sym-dmam on cycles of 16 and 64 over 3
+// peers must cost exactly that, at both sizes.
+func TestFramesPerRunIndependentOfN(t *testing.T) {
+	const peers, runs = 3, 2
+	fleet, err := DialFleet(startFleet(t, peers), Options{IOTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+	frames := func() int64 {
+		var sum int64
+		for _, ps := range fleet.Stats().Peers {
+			sum += ps.FramesSent + ps.FramesReceived
+		}
+		return sum
+	}
+	perRun := map[int]int64{}
+	for _, n := range []int{16, 64} {
+		const seed = 5
+		proto, err := core.NewSymDMAM(n, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := proto.Spec()
+		steps, err := network.Schedule(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Per peer: hello, helloOK and end, then one batch per step and
+		// direction. Every node of a cycle has neighbors, so every peer
+		// is owed an exchange batch.
+		want := int64(3)
+		for _, st := range steps {
+			want++
+			if st.Kind == network.StepExchange && spec.Rounds[st.Round].Digest != nil {
+				want++
+			}
+		}
+		want *= peers
+
+		before := frames()
+		for r := 0; r < runs; r++ {
+			res, err := network.Run(spec, graph.Cycle(n), nil, proto.HonestProver(),
+				network.Options{Seed: int64(r), Transport: fleet.NewRun(marshalParamsN(t, n, seed))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Accepted {
+				t.Fatalf("n=%d run %d rejected a symmetric cycle", n, r)
+			}
+		}
+		got := (frames() - before) / runs
+		if got != want {
+			t.Fatalf("n=%d: %d frames per run, want %d (%d peers × (3 + %d steps' batches))", n, got, want, peers, want/peers-3)
+		}
+		perRun[n] = got
+	}
+	if perRun[16] != perRun[64] {
+		t.Fatalf("frames per run depend on n: %v", perRun)
+	}
+}
+
+// marshalParamsN is marshalParams for the sym-dmam fixture.
+func marshalParamsN(t *testing.T, n int, seed int64) []byte {
+	t.Helper()
+	b, err := json.Marshal(testParams{Spec: "sym-dmam", N: n, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestRemoteCallbackError pins cross-process failure attribution: a node
@@ -537,10 +701,10 @@ func TestRemoteCallbackError(t *testing.T) {
 	}
 }
 
-// stallPeer is a hand-rolled fake peer: it completes the handshake, sends
-// `challenges` valid challenge frames, and then goes silent until its
-// connection is closed — a peer process that hangs mid-round.
-func stallPeer(t *testing.T, challenges int) string {
+// fakePeer is a hand-rolled peer: it completes the handshake, sends the
+// one frame first builds from the hello, and then goes silent until its
+// connection is closed.
+func fakePeer(t *testing.T, first func(hello helloFrame) (byte, []byte)) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -558,19 +722,16 @@ func stallPeer(t *testing.T, challenges int) string {
 		if err != nil {
 			return
 		}
-		var hello helloFrame
-		if json.Unmarshal(payload, &hello) != nil {
+		hello, err := decodeHello(payload)
+		if err != nil {
 			return
 		}
-		ok, _ := json.Marshal(helloOKFrame{Proto: Version, Nodes: len(hello.Nodes)})
-		if writeFrame(conn, sess, frameHelloOK, ok) != nil {
+		if writeFrame(conn, sess, frameHelloOK, encodeHelloOK(len(hello.Nodes))) != nil {
 			return
 		}
-		for i := 0; i < challenges && i < len(hello.Nodes); i++ {
-			p, err := encodeDelivery(0, hello.Nodes[i].V, wire.Message{})
-			if err != nil || writeFrame(conn, sess, frameChallenge, p) != nil {
-				return
-			}
+		typ, p := first(hello)
+		if writeFrame(conn, sess, typ, p) != nil {
+			return
 		}
 		// Stall: swallow coordinator traffic without ever answering.
 		io.Copy(io.Discard, conn)
@@ -578,8 +739,69 @@ func stallPeer(t *testing.T, challenges int) string {
 	return l.Addr().String()
 }
 
+// challengeBatch builds a round-0 challenge batch of count empty
+// messages.
+func challengeBatch(round, count int) []byte {
+	b := appendBatchHeader(nil, round, 0, count)
+	for i := 0; i < count; i++ {
+		b, _ = appendMessage(b, wire.Message{})
+	}
+	return b
+}
+
+// stallPeer is a fake peer that sends its valid round-0 challenge batch
+// and then hangs mid-run.
+func stallPeer(t *testing.T) string {
+	return fakePeer(t, func(hello helloFrame) (byte, []byte) {
+		return frameChallenge, challengeBatch(0, len(hello.Nodes))
+	})
+}
+
+// TestMalformedBatchFailsRun covers the coordinator's batch decoding: a
+// peer whose first batch has the wrong item count, trailing bytes, or a
+// type only a coordinator sends fails the run with a structured transport
+// error at once, long before any deadline.
+func TestMalformedBatchFailsRun(t *testing.T) {
+	cases := []struct {
+		name  string
+		first func(helloFrame) (byte, []byte)
+		frag  string
+	}{
+		{"wrong-count", func(h helloFrame) (byte, []byte) {
+			return frameChallenge, challengeBatch(0, len(h.Nodes)-1)
+		}, "want 4"},
+		{"trailing-bytes", func(h helloFrame) (byte, []byte) {
+			return frameChallenge, append(challengeBatch(0, len(h.Nodes)), 0)
+		}, "trailing"},
+		{"truncated", func(h helloFrame) (byte, []byte) {
+			return frameChallenge, challengeBatch(0, len(h.Nodes))[:batchHeader+1]
+		}, "truncated"},
+		{"wrong-direction", func(h helloFrame) (byte, []byte) {
+			return frameResponse, challengeBatch(0, len(h.Nodes))
+		}, "frame type 0x11 awaiting challenge"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			coord, err := Dial([]string{fakePeer(t, tc.first)}, marshalParams(t, "echo", 8), Options{IOTimeout: 30 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			_, err = network.Run(echoSpec(8), graph.Cycle(4), nil, echoProver{},
+				network.Options{Seed: 1, Transport: coord})
+			var rerr *network.RunError
+			if !errors.As(err, &rerr) || rerr.Phase != network.PhaseTransport || !strings.Contains(rerr.Err.Error(), tc.frag) {
+				t.Fatalf("err = %v, want a transport RunError mentioning %q", err, tc.frag)
+			}
+			if elapsed := time.Since(start); elapsed > 5*time.Second {
+				t.Fatalf("malformed batch took %v to fail the run", elapsed)
+			}
+		})
+	}
+}
+
 // TestStalledPeerTimesOut is the cancellation satellite: a peer that
-// stalls mid-round (handshake done, one challenge delivered, then
+// stalls mid-run (handshake done, its challenge batch delivered, then
 // silence) must surface as a structured timeout RunError on the
 // coordinator — PhaseTransport via the transport's own I/O deadline, or
 // PhaseCanceled via a caller deadline — and must not leak goroutines.
@@ -589,7 +811,7 @@ func TestStalledPeerTimesOut(t *testing.T) {
 
 	t.Run("io-timeout", func(t *testing.T) {
 		baseline := runtime.NumGoroutine()
-		addr := stallPeer(t, 1)
+		addr := stallPeer(t)
 		coord, err := Dial([]string{addr}, marshalParams(t, "echo", 8),
 			Options{IOTimeout: 150 * time.Millisecond})
 		if err != nil {
@@ -610,7 +832,7 @@ func TestStalledPeerTimesOut(t *testing.T) {
 
 	t.Run("context-deadline", func(t *testing.T) {
 		baseline := runtime.NumGoroutine()
-		addr := stallPeer(t, 1)
+		addr := stallPeer(t)
 		coord, err := Dial([]string{addr}, marshalParams(t, "echo", 8),
 			Options{IOTimeout: 30 * time.Second})
 		if err != nil {
@@ -651,7 +873,7 @@ func TestDeadPeerFailsRun(t *testing.T) {
 }
 
 // TestLinkFaultDelaySlowLink exercises the socket-level slow-link class:
-// every frame delayed, the run completes bit-identically, just later.
+// every batch delayed, the run completes bit-identically, just later.
 func TestLinkFaultDelaySlowLink(t *testing.T) {
 	g := graph.Path(4)
 	spec := echoSpec(8)
@@ -705,7 +927,7 @@ func TestLinkFaultDelayCancel(t *testing.T) {
 }
 
 // TestLinkFaultDropFailsRun covers the partition class: a link that
-// swallows every coordinator→peer message stalls the session until a
+// swallows every coordinator→peer batch stalls the session until a
 // deadline fires, and the run fails with a structured transport-or-
 // cancel error — a partition can kill a run but never flip a decision.
 func TestLinkFaultDropFailsRun(t *testing.T) {
@@ -735,7 +957,7 @@ func TestLinkFaultDropFailsRun(t *testing.T) {
 }
 
 // TestLinkPolicyDeterminism pins the schedule's replayability: the same
-// seed makes identical per-frame decisions, a different seed diverges
+// seed makes identical per-batch decisions, a different seed diverges
 // somewhere.
 func TestLinkPolicyDeterminism(t *testing.T) {
 	p := faults.LinkPolicy{Seed: 42, Delay: time.Millisecond, DelayProb: 0.5, DropProb: 0.2}

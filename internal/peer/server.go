@@ -132,12 +132,13 @@ type srvFrame struct {
 	payload []byte
 }
 
-// sessionInboxCap bounds one session's inbound frame queue. The schedule
-// keeps both sides in lockstep, so a session's queue depth is bounded by
-// what TCP had in flight, not by run size; if a queue ever fills, the
-// demux loop applies backpressure on the whole connection until the
-// session drains it (or exits, which unblocks the demux immediately).
-const sessionInboxCap = 256
+// sessionInboxCap bounds one session's inbound frame queue. The
+// coordinator sends a session at most one batch per schedule step, and
+// the schedule keeps both sides in lockstep, so the queue holds a few
+// frames whatever the run size; if it ever fills, the demux loop applies
+// backpressure on the whole connection until the session drains it (or
+// exits, which unblocks the demux immediately).
+const sessionInboxCap = 16
 
 // srvConn is one accepted connection: the shared write lock and the
 // id-keyed session table its demux loop routes into.
@@ -154,7 +155,7 @@ type srvConn struct {
 	torn     bool
 }
 
-// validFrameType reports whether typ is a defined v2 frame type.
+// validFrameType reports whether typ is a defined frame type.
 func validFrameType(typ byte) bool {
 	switch typ {
 	case frameHello, frameHelloOK, frameChallenge, frameResponse,
@@ -180,7 +181,7 @@ func (c *srvConn) demux() {
 			return
 		}
 		if !validFrameType(typ) {
-			if first && looksLikeV1(id, typ) {
+			if first && looksLikeV1(id) {
 				// A protocol-v1 client just sent its hello. Answer in the v1
 				// framing so it decodes the rejection as a structured error
 				// naming the version this peer requires.
@@ -304,14 +305,18 @@ type session struct {
 	cancelOnce sync.Once
 	cause      error
 
-	spec  *network.Spec
-	n     int
-	nodes []*network.NodeState
-	// owned maps a global node index to its hosted NodeState (nil when the
-	// node lives elsewhere); degrees holds each hosted node's neighbor
-	// count for exchange-completion tracking.
-	owned   map[int]*network.NodeState
-	degrees map[int]int
+	spec *network.Spec
+	// nodes are the hosted NodeStates in ascending node order — the item
+	// order of every batch — and nbrs their neighbor lists, ascending, the
+	// item order within an exchange batch. exOwed is the exchange batch's
+	// item count: the hosted nodes' total degree.
+	nodes  []*network.NodeState
+	nbrs   [][]int
+	exOwed int
+	// frame is the outbound batch buffer, reused across steps; msgs is
+	// the scratch slice inbound batches decode into.
+	frame []byte
+	msgs  []wire.Message
 }
 
 // cancel aborts the session from outside (connection teardown, server
@@ -362,13 +367,46 @@ func (st *session) readNext() (byte, []byte, *network.RunError) {
 
 // send writes one frame for this session under the shared write lock.
 func (st *session) send(typ byte, payload []byte) *network.RunError {
+	return st.write(append(beginFrame(st.frame[:0], st.id, typ), payload...))
+}
+
+// write puts one whole frame begun by beginFrame on the wire under the
+// shared write lock.
+func (st *session) write(frame []byte) *network.RunError {
+	st.frame = frame
+	if err := sealFrame(frame); err != nil {
+		return st.failf(-1, "%v", err)
+	}
 	st.c.wmu.Lock()
 	defer st.c.wmu.Unlock()
 	st.c.conn.SetWriteDeadline(time.Now().Add(st.srv.ioTimeout()))
-	if err := writeFrame(st.c.conn, st.id, typ, payload); err != nil {
+	if _, err := st.c.conn.Write(frame); err != nil {
 		return st.failf(-1, "coordinator write: %v", err)
 	}
 	return nil
+}
+
+// beginBatch starts the session's next outbound batch frame.
+func (st *session) beginBatch(typ byte, round int, count int) []byte {
+	return appendBatchHeader(beginFrame(st.frame[:0], st.id, typ), round, 0, count)
+}
+
+// readBatch waits for the step's inbound batch, which must be of type typ
+// for (round, flags) and carry count messages.
+func (st *session) readBatch(typ byte, round int, flags byte, count int, what string) ([]wire.Message, *network.RunError) {
+	gotTyp, payload, rerr := st.readNext()
+	if rerr != nil {
+		return nil, rerr
+	}
+	if gotTyp != typ {
+		return nil, st.failf(round, "frame type 0x%02x during %s step", gotTyp, what)
+	}
+	msgs, err := decodeBatch(payload, round, flags, count, st.msgs[:0])
+	st.msgs = msgs
+	if err != nil {
+		return nil, st.failf(round, "%s batch: %v", what, err)
+	}
+	return msgs, nil
 }
 
 // failf builds a PhaseTransport RunError for this session.
@@ -390,52 +428,36 @@ func (st *session) run() *network.RunError {
 	if typ != frameHello {
 		return st.failf(-1, "first frame type 0x%02x, want hello", typ)
 	}
-	var hello helloFrame
-	if err := json.Unmarshal(payload, &hello); err != nil {
+	if proto := helloProto(payload); proto != Version {
+		return st.failf(-1, "hello proto %d: this peer requires wire protocol %d", proto, Version)
+	}
+	hello, err := decodeHello(payload)
+	if err != nil {
 		return st.failf(-1, "malformed hello: %v", err)
-	}
-	if hello.Proto != Version {
-		return st.failf(-1, "hello proto %d: this peer requires wire protocol %d", hello.Proto, Version)
-	}
-	if hello.N < 1 || len(hello.Nodes) < 1 || len(hello.Nodes) > hello.N {
-		return st.failf(-1, "hello provisions %d nodes of %d", len(hello.Nodes), hello.N)
 	}
 	spec, err := srv.Build(hello.Params)
 	if err != nil {
 		return &network.RunError{Protocol: "", Phase: network.PhaseSetup, Round: -1, Node: -1,
 			Err: fmt.Errorf("peer: building spec: %w", err)}
 	}
-	st.spec, st.n = spec, hello.N
+	st.spec = spec
 	steps, err := network.Schedule(spec)
 	if err != nil {
 		return &network.RunError{Protocol: spec.Name, Phase: network.PhaseSetup, Round: -1, Node: -1,
 			Err: fmt.Errorf("peer: compiling schedule: %w", err)}
 	}
 
-	st.owned = make(map[int]*network.NodeState, len(hello.Nodes))
-	st.degrees = make(map[int]int, len(hello.Nodes))
 	for _, hn := range hello.Nodes {
-		input := wire.Message{Data: hn.InputData, Bits: hn.InputBits}
-		if input.Bits < 0 || input.Bits > maxMsgBits || len(input.Data) != (input.Bits+7)/8 {
-			return st.failf(-1, "node %d input: Bits=%d len(Data)=%d", hn.V, input.Bits, len(input.Data))
-		}
-		ns, nerr := network.NewNodeState(spec, hn.V, hello.N, hn.Neighbors, input, hello.Seed)
+		ns, nerr := network.NewNodeState(spec, hn.V, hello.N, hn.Neighbors, hn.Input, hello.Seed)
 		if nerr != nil {
 			return st.failf(-1, "node %d: %v", hn.V, nerr)
 		}
-		if st.owned[hn.V] != nil {
-			return st.failf(-1, "node %d provisioned twice", hn.V)
-		}
-		st.owned[hn.V] = ns
-		st.degrees[hn.V] = len(hn.Neighbors)
 		st.nodes = append(st.nodes, ns)
+		st.nbrs = append(st.nbrs, hn.Neighbors)
+		st.exOwed += len(hn.Neighbors)
 	}
 
-	okPayload, err := json.Marshal(helloOKFrame{Proto: Version, Nodes: len(st.nodes)})
-	if err != nil {
-		return st.failf(-1, "marshaling helloOK: %v", err)
-	}
-	if rerr := st.send(frameHelloOK, okPayload); rerr != nil {
+	if rerr := st.send(frameHelloOK, encodeHelloOK(len(st.nodes))); rerr != nil {
 		return rerr
 	}
 	srv.logf("peer: session %d (#%d): hosting %d of %d nodes (%s)", st.id, st.seq, len(st.nodes), hello.N, spec.Name)
@@ -447,7 +469,7 @@ func (st *session) run() *network.RunError {
 	}
 
 	// The schedule is done; wait for the coordinator's end frame so the
-	// final decision frames are known-delivered before the session closes.
+	// final decision batch is known-delivered before the session closes.
 	typ, _, rerr = st.readNext()
 	if rerr != nil {
 		return rerr
@@ -458,42 +480,31 @@ func (st *session) run() *network.RunError {
 	return nil
 }
 
-// step plays the node-facing half of one schedule step.
+// step plays the node-facing half of one schedule step: at most one batch
+// in each direction, covering every hosted node.
 func (st *session) step(step network.ScheduleStep) *network.RunError {
 	switch step.Kind {
 	case network.StepChallenge:
+		frame := st.beginBatch(frameChallenge, step.Round, len(st.nodes))
 		for _, ns := range st.nodes {
 			m, rerr := ns.Challenge(step.Round)
 			if rerr != nil {
 				return rerr
 			}
-			payload, err := encodeDelivery(step.Round, ns.V(), m)
-			if err != nil {
-				return st.failf(step.Round, "encoding challenge: %v", err)
-			}
-			if rerr := st.send(frameChallenge, payload); rerr != nil {
-				return rerr
+			var err error
+			if frame, err = appendMessage(frame, m); err != nil {
+				return st.failf(step.Round, "encoding node %d challenge: %v", ns.V(), err)
 			}
 		}
+		return st.write(frame)
 
 	case network.StepRespond:
-		for range st.nodes {
-			typ, payload, rerr := st.readNext()
-			if rerr != nil {
-				return rerr
-			}
-			if typ != frameResponse {
-				return st.failf(step.Round, "frame type 0x%02x during respond step", typ)
-			}
-			ri, v, m, err := decodeDelivery(payload)
-			if err != nil {
-				return st.failf(step.Round, "response frame: %v", err)
-			}
-			ns := st.owned[v]
-			if ri != step.Round || ns == nil {
-				return st.failf(step.Round, "response for round %d node %d (hosting round %d)", ri, v, step.Round)
-			}
-			ns.PushResponse(m)
+		msgs, rerr := st.readBatch(frameResponse, step.Round, 0, len(st.nodes), "respond")
+		if rerr != nil {
+			return rerr
+		}
+		for i, ns := range st.nodes {
+			ns.PushResponse(msgs[i])
 		}
 
 	case network.StepExchange:
@@ -513,70 +524,53 @@ func (st *session) step(step network.ScheduleStep) *network.RunError {
 			return st.failf(step.Round, "FailSoft hook: session #%d aborted by configuration", st.seq)
 		}
 		if st.spec.Rounds[step.Round].Digest != nil {
+			frame := st.beginBatch(frameForward, step.Round, len(st.nodes))
 			for _, ns := range st.nodes {
 				out, rerr := ns.ExchangeOut(step)
 				if rerr != nil {
 					return rerr
 				}
-				payload, err := encodeDelivery(step.Round, ns.V(), out)
-				if err != nil {
-					return st.failf(step.Round, "encoding forward: %v", err)
-				}
-				if rerr := st.send(frameForward, payload); rerr != nil {
-					return rerr
+				var err error
+				if frame, err = appendMessage(frame, out); err != nil {
+					return st.failf(step.Round, "encoding node %d forward: %v", ns.V(), err)
 				}
 			}
-		}
-		want := 0
-		for _, deg := range st.degrees {
-			want += deg
-		}
-		got := make(map[int]map[int]wire.Message, len(st.nodes))
-		for i := 0; i < want; i++ {
-			typ, payload, rerr := st.readNext()
-			if rerr != nil {
+			if rerr := st.write(frame); rerr != nil {
 				return rerr
 			}
-			if typ != frameExchange {
-				return st.failf(step.Round, "frame type 0x%02x during exchange step", typ)
-			}
-			ri, from, to, chal, m, err := decodeExchange(payload)
-			if err != nil {
-				return st.failf(step.Round, "exchange frame: %v", err)
-			}
-			ns := st.owned[to]
-			if ri != step.Round || chal != step.Chal || ns == nil {
-				return st.failf(step.Round, "exchange for round %d chal=%v node %d (hosting round %d chal=%v)",
-					ri, chal, to, step.Round, step.Chal)
-			}
-			bucket := got[to]
-			if bucket == nil {
-				bucket = make(map[int]wire.Message, st.degrees[to])
-				got[to] = bucket
-			}
-			if _, dup := bucket[from]; dup || len(bucket) >= st.degrees[to] {
-				return st.failf(step.Round, "surplus exchange %d→%d", from, to)
-			}
-			bucket[from] = m
 		}
-		for _, ns := range st.nodes {
-			bucket := got[ns.V()]
-			if bucket == nil {
-				bucket = make(map[int]wire.Message)
+		// Hosted nodes without neighbors are owed nothing: when none has
+		// any, the coordinator sends no exchange batch at all.
+		var msgs []wire.Message
+		if st.exOwed > 0 {
+			var flags byte
+			if step.Chal {
+				flags = flagChal
 			}
-			ns.PushExchange(step, bucket)
+			var rerr *network.RunError
+			if msgs, rerr = st.readBatch(frameExchange, step.Round, flags, st.exOwed, "exchange"); rerr != nil {
+				return rerr
+			}
+		}
+		for i, ns := range st.nodes {
+			got := make(map[int]wire.Message, len(st.nbrs[i]))
+			for _, u := range st.nbrs[i] {
+				got[u] = msgs[0]
+				msgs = msgs[1:]
+			}
+			ns.PushExchange(step, got)
 		}
 
 	case network.StepDecide:
+		frame := st.beginBatch(frameDecision, -1, len(st.nodes))
 		for _, ns := range st.nodes {
 			d, rerr := ns.Decide()
 			if rerr != nil {
 				return rerr
 			}
-			if rerr := st.send(frameDecision, encodeDecision(ns.V(), d)); rerr != nil {
-				return rerr
-			}
+			frame = appendDecision(frame, d)
 		}
+		return st.write(frame)
 	}
 	return nil
 }
