@@ -57,17 +57,19 @@ smoke:
 	$(GO) run ./cmd/dipbench -validate /tmp/dip-bench-smoke.json
 	$(GO) run ./cmd/dipbench -validate BENCH_seed1.json FAULT_seed1.json LOAD_seed1.json LOAD_seed2.json LOAD_seed3.json LOAD_seed4.json
 
-# fuzz-short gives each decoder fuzz target a brief mutation burst on top
-# of the checked-in seed corpus (go only allows one -fuzz pattern per
-# invocation, hence the loop).
+# fuzz-short gives each decoder fuzz target, and the hash kernel's
+# differential target, a brief mutation burst on top of the checked-in
+# seed corpus (go only allows one -fuzz pattern per invocation, hence the
+# loop).
 FUZZ_TIME ?= 2s
 fuzz-short:
-	@for target in FuzzReader FuzzRoundTrip FuzzSymDecoders FuzzDSymDecoder FuzzGNIDecoders FuzzLCPDecoders FuzzWireReport FuzzRequestDecode FuzzPeerFrame; do \
+	@for target in FuzzReader FuzzRoundTrip FuzzSymDecoders FuzzDSymDecoder FuzzGNIDecoders FuzzLCPDecoders FuzzWireReport FuzzRequestDecode FuzzPeerFrame FuzzLinearFamily; do \
 		pkg=./internal/core; \
 		case $$target in \
 			FuzzReader|FuzzRoundTrip) pkg=./internal/wire;; \
 			FuzzWireReport|FuzzRequestDecode) pkg=.;; \
 			FuzzPeerFrame) pkg=./internal/peer;; \
+			FuzzLinearFamily) pkg=./internal/hashing;; \
 		esac; \
 		$(GO) test -run xxx -fuzz "^$$target$$" -fuzztime $(FUZZ_TIME) $$pkg || exit 1; \
 	done

@@ -114,6 +114,7 @@ func (s *SymRPLS) decide(v int, view *network.NodeView) bool {
 	// Neighbor agreement via fingerprints: evaluate each neighbor's seed
 	// on OUR advice and compare with the neighbor's fingerprint of theirs.
 	width := wire.WidthForBig(s.p)
+	coords := adviceCoords(advice)
 	for _, u := range view.Neighbors {
 		r := wire.NewReader(view.NeighborResponses[0][u])
 		seed, err := r.ReadBig(width)
@@ -127,7 +128,7 @@ func (s *SymRPLS) decide(v int, view *network.NodeView) bool {
 		if err := r.Done(); err != nil {
 			return false
 		}
-		mine := s.family.HashIndicator(seed, adviceCoords(advice))
+		mine := s.family.HashIndicator(seed, coords)
 		if mine.Cmp(fp) != 0 {
 			return false
 		}

@@ -27,23 +27,26 @@ import (
 //     by each hashing its own row and summing up the spanning tree;
 //  2. Collision: for x ≠ x', Pr_i[h_i(x) = h_i(x')] ≤ m/p, because the
 //     difference is a non-zero polynomial of degree ≤ m in i.
+//
+// Every evaluation runs in one fixed-width Montgomery field built from p
+// when the family is made: a single machine word for Protocol 1's
+// cubic-window moduli, k words for Protocol 2's Θ(n log n)-bit ones. The
+// Montgomery form is only a change of representation and every value
+// leaves the field fully reduced, so the hash values are exactly those
+// of the definition above — byte-identical reports. A term costs a few
+// word multiplications, and HashIndicator, HashRowMatrix and AddMod
+// allocate nothing but their result.
 type LinearFamily struct {
-	m int      // dimension of the hashed vectors
-	p *big.Int // prime modulus; |H| = p
-	// pSmall is the modulus as a uint64 when it is below 2^32 — small
-	// enough that products of residues fit in uint64 — and 0 otherwise.
-	// Protocol 1's cubic-window modulus (p ≤ 100n³) qualifies for every
-	// realistic n, and the evaluation loops below use machine arithmetic
-	// for it: the residues are identical to the big.Int path (both compute
-	// Σ i^{j+1} mod p over the same ring), only ~20× cheaper and
-	// allocation-free per term. Protocol 2's Θ(n log n)-bit modulus never
-	// qualifies and always takes the big.Int path.
-	pSmall uint64
+	m  int      // dimension of the hashed vectors
+	p  *big.Int // prime modulus; |H| = p
+	fp *field   // Z_p in Montgomery form: every evaluation runs here
 }
 
 // NewLinearFamily returns the family for m-dimensional vectors over Z_p.
-// p must be a prime larger than 1; primality is the caller's contract
-// (moduli come from the prime package) and is not re-checked here.
+// p must be an odd prime; primality is the caller's contract (moduli come
+// from the prime package) and is not re-checked here, but an even modulus
+// is refused, because the Montgomery arithmetic the family evaluates in
+// needs p odd.
 func NewLinearFamily(m int, p *big.Int) (*LinearFamily, error) {
 	if m < 1 {
 		return nil, fmt.Errorf("hashing: dimension %d < 1", m)
@@ -51,39 +54,11 @@ func NewLinearFamily(m int, p *big.Int) (*LinearFamily, error) {
 	if p.Cmp(big.NewInt(2)) < 0 {
 		return nil, fmt.Errorf("hashing: modulus %v < 2", p)
 	}
-	f := &LinearFamily{m: m, p: new(big.Int).Set(p)}
-	if f.p.IsUint64() {
-		if v := f.p.Uint64(); v < 1<<32 {
-			f.pSmall = v
-		}
+	if p.Bit(0) == 0 {
+		return nil, fmt.Errorf("hashing: modulus %v is even", p)
 	}
-	return f, nil
-}
-
-// smallSeed reports whether i can take the machine-arithmetic path:
-// the modulus is small and 0 ≤ i < p. Out-of-range seeds (adversarial
-// callers) fall back to the big.Int path, which reduces them mod p with
-// the same result.
-func (f *LinearFamily) smallSeed(i *big.Int) (uint64, bool) {
-	if f.pSmall == 0 || !i.IsUint64() {
-		return 0, false
-	}
-	v := i.Uint64()
-	return v, v < f.pSmall
-}
-
-// powmodSmall computes base^exp mod p by square-and-multiply for p < 2^32
-// (so every product fits in uint64). base must already be reduced mod p.
-func powmodSmall(base, exp, p uint64) uint64 {
-	result := uint64(1 % p)
-	for exp > 0 {
-		if exp&1 == 1 {
-			result = result * base % p
-		}
-		base = base * base % p
-		exp >>= 1
-	}
-	return result
+	p = new(big.Int).Set(p)
+	return &LinearFamily{m: m, p: p, fp: newField(p)}, nil
 }
 
 // M returns the dimension of the hashed vectors.
@@ -108,37 +83,40 @@ func (f *LinearFamily) ValidSeed(i *big.Int) bool {
 // HashIndicator evaluates h_i on the characteristic vector of the given
 // coordinate set: h_i(χ) = Σ_{j ∈ set} i^{j+1} mod p. Coordinates are
 // 0-based; coordinate j corresponds to the monomial i^{j+1} so that the
-// constant term is never used and h_i(0) = 0.
+// constant term is never used and h_i(0) = 0. Ascending coordinates are
+// cheapest (each power steps from the previous one); unsorted and repeated
+// coordinates are accepted and hash as the same multiset sum. A seed
+// outside [0, p) is reduced mod p first.
 func (f *LinearFamily) HashIndicator(i *big.Int, coords []int) *big.Int {
-	if iv, ok := f.smallSeed(i); ok {
-		var sum uint64
+	if f.fp.k() == 1 {
+		s := f.fp.powerSum1(i)
 		for _, j := range coords {
-			if j < 0 || j >= f.m {
-				panic(fmt.Sprintf("hashing: coordinate %d out of range [0,%d)", j, f.m))
-			}
-			sum = (sum + powmodSmall(iv, uint64(j+1), f.pSmall)) % f.pSmall
+			f.checkCoord(j)
+			s.add(j + 1)
 		}
-		return new(big.Int).SetUint64(sum)
+		return s.result()
 	}
-	sum := new(big.Int)
-	e := new(big.Int)
+	var buf [stackScratch]uint
+	s := f.fp.powerSumK(i, buf[:])
 	for _, j := range coords {
-		if j < 0 || j >= f.m {
-			panic(fmt.Sprintf("hashing: coordinate %d out of range [0,%d)", j, f.m))
-		}
-		e.SetInt64(int64(j + 1))
-		term := new(big.Int).Exp(i, e, f.p)
-		sum.Add(sum, term)
-		sum.Mod(sum, f.p)
+		f.checkCoord(j)
+		s.add(j + 1)
 	}
-	return sum
+	return s.result()
+}
+
+func (f *LinearFamily) checkCoord(j int) {
+	if j < 0 || j >= f.m {
+		panic(fmt.Sprintf("hashing: coordinate %d out of range [0,%d)", j, f.m))
+	}
 }
 
 // HashRowMatrix evaluates h_i on the row matrix [row, r] of Section 3.1.1 —
 // the n×n boolean matrix that is r in the given row and zero elsewhere —
 // flattened row-major into an n²-dimensional vector. The family dimension
 // must be n². This is the per-node hash both Sym protocols compute locally:
-// node v hashes [v, N(v)] and [ρ(v), ρ(N(v))].
+// node v hashes [v, N(v)] and [ρ(v), ρ(N(v))]. The set columns are walked
+// ascending, so only the lowest one pays a full exponentiation.
 func (f *LinearFamily) HashRowMatrix(i *big.Int, n, row int, r *bitset.Set) *big.Int {
 	if n*n != f.m {
 		panic(fmt.Sprintf("hashing: matrix side %d for family dimension %d", n, f.m))
@@ -149,78 +127,71 @@ func (f *LinearFamily) HashRowMatrix(i *big.Int, n, row int, r *bitset.Set) *big
 	if r.Len() != n {
 		panic(fmt.Sprintf("hashing: row vector of length %d, want %d", r.Len(), n))
 	}
-	if iv, ok := f.smallSeed(i); ok {
-		// Iterate the set bits directly — no coords slice, no big.Int
-		// terms. The coordinates row*n+c are in range by the panics above.
-		// Successive exponents are close together (gaps of a few within one
-		// row), so after the first full powmod each term is the previous
-		// power times i^gap.
-		var sum, cur, prevExp uint64
+	if f.fp.k() == 1 {
+		s := f.fp.powerSum1(i)
 		for c := r.NextSet(0); c >= 0; c = r.NextSet(c + 1) {
-			e := uint64(row*n + c + 1)
-			if prevExp == 0 {
-				cur = powmodSmall(iv, e, f.pSmall)
-			} else {
-				cur = cur * powmodSmall(iv, e-prevExp, f.pSmall) % f.pSmall
-			}
-			prevExp = e
-			sum = (sum + cur) % f.pSmall
+			s.add(row*n + c + 1)
 		}
-		return new(big.Int).SetUint64(sum)
+		return s.result()
 	}
-	coords := make([]int, 0, r.Count())
+	var buf [stackScratch]uint
+	s := f.fp.powerSumK(i, buf[:])
 	for c := r.NextSet(0); c >= 0; c = r.NextSet(c + 1) {
-		coords = append(coords, row*n+c)
+		s.add(row*n + c + 1)
 	}
-	return f.HashIndicator(i, coords)
+	return s.result()
 }
 
 // HashDense evaluates h_i on an arbitrary vector x over Z_p given as int64
 // coordinates (used by tests to exercise linearity with coefficients > 1).
+// Coordinates are reduced mod p the Euclidean way, so negative ones count
+// as their residues.
 func (f *LinearFamily) HashDense(i *big.Int, x []int64) *big.Int {
 	if len(x) != f.m {
 		panic(fmt.Sprintf("hashing: vector of length %d, want %d", len(x), f.m))
 	}
-	sum := new(big.Int)
-	e := new(big.Int)
+	// Horner from the top coordinate: acc = (acc + x_j)·i, which leaves
+	// Σ x_j·i^{j+1}.
+	k := f.fp.k()
+	var buf [stackScratch]uint
+	w := scratch(buf[:], scratchWords(k))
+	im, acc, c, tmp, t := w[:k], w[k:2*k], w[2*k:3*k], w[3*k:4*k], w[4*k:]
+	f.fp.enter(im, i, tmp, t)
+	clear(acc)
 	coef := new(big.Int)
-	for j, xj := range x {
-		if xj == 0 {
-			continue
-		}
-		e.SetInt64(int64(j + 1))
-		term := new(big.Int).Exp(i, e, f.p)
-		coef.SetInt64(xj)
-		term.Mul(term, coef)
-		sum.Add(sum, term)
-		sum.Mod(sum, f.p)
+	for j := len(x) - 1; j >= 0; j-- {
+		f.fp.enter(c, coef.SetInt64(x[j]), tmp, t)
+		f.fp.add(acc, acc, c)
+		f.fp.mul(acc, acc, im, t)
 	}
-	return sum
+	return f.fp.leave(acc, tmp, t)
 }
 
 // AddMod returns (a + b) mod p for this family's modulus: the tree-sum
 // operation used when hash values are aggregated up the spanning tree.
+// Operands outside [0, p) are reduced mod p first.
 func (f *LinearFamily) AddMod(a, b *big.Int) *big.Int {
-	if av, ok := f.smallSeed(a); ok {
-		if bv, ok := f.smallSeed(b); ok {
-			// Both below p < 2^32, so the sum cannot overflow.
-			return new(big.Int).SetUint64((av + bv) % f.pSmall)
-		}
-	}
-	s := new(big.Int).Add(a, b)
-	return s.Mod(s, f.p)
+	return f.AddModInto(new(big.Int).Set(a), b)
 }
 
 // AddModInto is AddMod for accumulation chains: it folds b into dst, which
 // the caller must own exclusively (a fresh hash value, not a decoded message
-// field someone else still reads). Reusing dst's storage keeps tree-sum
-// loops allocation-free on the small-modulus path.
+// field someone else still reads). dst's storage is reused, so tree-sum
+// loops allocate nothing once dst has room for a residue.
 func (f *LinearFamily) AddModInto(dst, b *big.Int) *big.Int {
-	if av, ok := f.smallSeed(dst); ok {
-		if bv, ok := f.smallSeed(b); ok {
-			return dst.SetUint64((av + bv) % f.pSmall)
-		}
+	if f.fp.k() == 1 {
+		return dst.SetUint64(uint64(f.fp.add1(f.fp.load1(dst), f.fp.load1(b))))
 	}
-	dst.Add(dst, b)
-	return dst.Mod(dst, f.p)
+	var buf [stackLimbs]uint
+	z := scratch(buf[:], f.fp.k())
+	f.fp.addPlain(z, dst, b)
+	w := dst.Bits()
+	if cap(w) < len(z) {
+		w = make([]big.Word, len(z))
+	}
+	w = w[:len(z)]
+	for j, v := range z {
+		w[j] = big.Word(v)
+	}
+	return dst.SetBits(w)
 }
