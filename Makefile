@@ -38,8 +38,9 @@ build:
 test:
 	$(GO) test -cpu 1,4 ./...
 
-# race covers every package: the concurrent engine and trial-harness pool
-# have real concurrency, and the rest is cheap under -short.
+# race covers every package: the trial-harness pool, the state pool, the
+# peer transport's reader goroutines and the service tiers have real
+# concurrency, and the rest is cheap under -short.
 race:
 	$(GO) test -race -short -cpu 1,4 ./...
 
@@ -298,7 +299,7 @@ fleet-smoke:
 	for i in 2 3; do grep -q drained $$dir/peer$$i.log || { echo "no drain marker in peer $$i log"; cat $$dir/peer$$i.log; exit 1; }; done; \
 	echo "fleet-smoke: ok"
 
-# bench runs the engine-mode comparison (sequential vs goroutine-per-node).
+# bench runs the engine micro-benchmark (sequential executor, n=256).
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkEngine' -benchmem -benchtime 2s .
 

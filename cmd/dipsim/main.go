@@ -335,7 +335,7 @@ func runEngine(o simOptions, inst *instance, fleet *dip.Fleet, stdout io.Writer)
 		ro.Transport = coord
 	}
 	if o.fault != "" {
-		if o.faultProb < 0 || o.faultProb > 1 {
+		if !(o.faultProb >= 0 && o.faultProb <= 1) { // also refuses NaN
 			return nil, fmt.Errorf("-fault-prob %v outside [0, 1]", o.faultProb)
 		}
 		class, ok := faults.ByName(o.fault)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -182,6 +183,7 @@ func TestRunRejectsBadFaultFlags(t *testing.T) {
 		{"unknown plane", simOptions{fault: "bitflip", faultPlane: "carrier"}, "unknown fault plane"},
 		{"unsupported plane", simOptions{fault: "nodeswap", faultPlane: "exchange"}, "does not support"},
 		{"bad prob", simOptions{fault: "bitflip", faultPlane: "prover", faultProb: 2}, "outside [0, 1]"},
+		{"NaN prob", simOptions{fault: "bitflip", faultPlane: "prover", faultProb: math.NaN()}, "outside [0, 1]"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -407,5 +409,26 @@ func TestFleetRunValidation(t *testing.T) {
 	var rerr *network.RunError
 	if !errors.As(err, &rerr) || rerr.Phase != network.PhaseTransport {
 		t.Fatalf("run on closed fleet: err = %v, want PhaseTransport RunError", err)
+	}
+}
+
+// TestDialFleetRejectsNaNLinkFaults pins the public projection of the
+// peer option checks: a NaN link-fault probability — which would
+// otherwise silently disable the fault — is refused at dial time, before
+// any connection opens or run starts.
+func TestDialFleetRejectsNaNLinkFaults(t *testing.T) {
+	addrs := startDipPeers(t, 1)
+	for _, lf := range []*LinkFaults{
+		{Seed: 1, Delay: time.Millisecond, DelayProb: math.NaN()},
+		{Seed: 1, DropProb: math.NaN()},
+	} {
+		fleet, err := DialFleet(addrs, FleetOptions{LinkFaults: lf})
+		if err == nil {
+			fleet.Close()
+			t.Fatalf("DialFleet accepted LinkFaults %+v", *lf)
+		}
+		if !strings.Contains(err.Error(), "outside [0,1]") {
+			t.Fatalf("DialFleet(%+v) = %v, want an out-of-range probability error", *lf, err)
+		}
 	}
 }

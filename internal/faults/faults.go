@@ -9,11 +9,12 @@
 // prover→node plane (network.Options.Corrupt) and ExchangeCorruptor the
 // node→node forward/digest plane (network.Options.CorruptExchange). All
 // randomness is derived statelessly from (seed, plane, round, from, to),
-// so a fault schedule is a pure function of the run seed: the sequential
-// and concurrent engines — which invoke exchange-plane corruptors in
-// different orders and from different goroutines — observe the identical
-// schedule, and so stay bit-identical under injection (asserted by the
-// engine-equivalence suite).
+// so a fault schedule is a pure function of the run seed, independent of
+// call order. Both executors — sequential, and networked over a peer
+// fleet — invoke the hooks on the coordinator's goroutine in one fixed
+// order (see network.ExchangeCorruptor), so they observe the identical
+// schedule and stay bit-identical under injection (asserted by the
+// engine-equivalence suites).
 package faults
 
 import (
@@ -105,9 +106,8 @@ func Drop() Injector {
 // Replay delivers the message from the previous round on the same channel
 // (same plane and (from, to) pair) instead of the current one; the first
 // delivery on each channel passes through. Stateful: build a fresh
-// injector per run. Safe under either engine because rounds ascend per
-// directed pair in both, so the per-channel history is order-independent
-// even though global call orders differ.
+// injector per run. Rounds ascend per directed pair under either
+// executor, so the per-channel history is the same in both.
 func Replay() Injector {
 	type channel struct {
 		plane    Plane
@@ -134,10 +134,9 @@ func Replay() Injector {
 // delivery must be produced before the next message is seen — so the
 // one-position shift is the canonical misrouting fault; it breaks any
 // protocol whose per-node advice is node-specific. Prover plane only
-// (exchange deliveries pass through: their interleaving is
-// engine-dependent, so no shift over them is order-independent).
-// Stateful: build a fresh injector per run. Relies on the engine contract
-// that prover-plane corruptor calls ascend in node order within a round.
+// (exchange deliveries pass through). Stateful: build a fresh injector
+// per run. Relies on the engine contract that prover-plane corruptor
+// calls ascend in node order within a round.
 func NodeSwap() Injector {
 	var mu sync.Mutex
 	last := make(map[int]wire.Message) // per Merlin round

@@ -6,44 +6,42 @@ import (
 	"dip/internal/wire"
 )
 
-// networkedExecutor interprets the round script against remote verifier
-// nodes reached through Options.Transport. It is the coordinator half of a
-// distributed run: the prover, the delivery funnel (validation, cost
-// charging, fault corruption), and the transcript all execute here, in
-// exactly the sequential executor's order, while every node-side callback
+// runNetworked interprets the round script against remote verifier nodes
+// reached through transport t (Options.Transport). It is the coordinator
+// half of a distributed run: the prover, the delivery funnel (validation,
+// cost charging, fault corruption), and the transcript all execute here,
+// in exactly runSequential's order, while every node-side callback
 // (Challenge, Digest, Decide) runs wherever the transport's far side hosts
 // the node — its RNG seeded mix(Seed, v) there, via NodeState.
 //
-// Bit-identity with the in-process executors follows from three facts:
-// node randomness is per-node (so it does not matter which process draws
-// it), every funnel delivery happens here in the sequential order (so cost
+// Bit-identity with runSequential follows from three facts: node
+// randomness is per-node (so it does not matter which process draws it),
+// every funnel delivery happens here in the sequential order (so cost
 // rows, corruption call order, and transcript rows match), and the copies
 // the far side observes are the post-funnel messages this side sends (so
-// views — and hence decisions — match). The equivalence suite asserts all
+// views — and hence decisions — match). The equivalence suites assert all
 // of it protocol-by-protocol.
-type networkedExecutor struct{}
-
-func (networkedExecutor) run(s *runState) *RunError {
-	t := s.opts.Transport
-	n := s.n
-	tr := &TransportRun{
+//
+// Begin provisions the far side; End is called exactly once with the
+// run's failure (nil on success), including when Begin itself fails.
+func runNetworked(s *runState, t Transport) *RunError {
+	rerr := t.Begin(&TransportRun{
 		Spec:      s.spec,
 		Seed:      s.opts.Seed,
-		N:         n,
+		N:         s.n,
 		Neighbors: s.nbrs,
 		Inputs:    s.inputs,
 		Cancel:    s.opts.Cancel,
+	})
+	if rerr == nil {
+		rerr = playNetworked(s, t)
 	}
-	if rerr := t.Begin(tr); rerr != nil {
-		t.End(rerr)
-		return rerr
-	}
-	rerr := runNetworked(s, t)
 	t.End(rerr)
 	return rerr
 }
 
-func runNetworked(s *runState, t Transport) *RunError {
+// playNetworked steps the script once Begin has provisioned the far side.
+func playNetworked(s *runState, t Transport) *RunError {
 	n := s.n
 	// seen tracks which nodes have reported within one collect phase
 	// (challenges, forwards, decisions): a transport frame for an
@@ -68,8 +66,8 @@ func runNetworked(s *runState, t Transport) *RunError {
 				}
 				row[v] = c
 			}
-			// Charge in ascending node order — the funnel order every
-			// executor shares. (The challenge plane has no corruption hook,
+			// Charge in ascending node order — the funnel order both
+			// executors share. (The challenge plane has no corruption hook,
 			// so deliver returns the message unchanged.)
 			for v := 0; v < n; v++ {
 				m, rerr := s.deliver(planeChallenge, st.ri, v, -1, row[v])

@@ -36,10 +36,9 @@ const (
 // corrupted" on every plane: the sender's honest bits are metered before
 // any injector rewrites them.
 //
-// Concurrency: the challenge and response planes are only driven from the
-// run's driver goroutine. On the exchange plane, from is always the
-// calling node's own index under the concurrent executor, so the
-// NodeToNode[from] increments stay element-exclusive per goroutine.
+// Both executors call deliver from the run's own goroutine only, in
+// schedule order, so the cost rows need no locking and the corruptors see
+// one fixed call order (see Corruptor and ExchangeCorruptor).
 func (s *runState) deliver(pl plane, ri, from, to int, m wire.Message) (wire.Message, *RunError) {
 	switch pl {
 	case planeChallenge:
@@ -107,10 +106,9 @@ func (s *runState) runError(phase Phase, round, node int, err error) *RunError {
 
 // guardNode runs a Spec callback with panic containment: a panic in f
 // becomes a *RunError attributed to (phase, round, node) instead of
-// crashing the process (or, in the concurrent engine, deadlocking the
-// other nodes; or, in a peer process, killing the node host). It is a free
-// function because it also guards callbacks on NodeState, where no
-// runState exists.
+// crashing the process (or, in a peer process, killing the node host). It
+// is a free function because it also guards callbacks on NodeState, where
+// no runState exists.
 func guardNode(protocol string, phase Phase, round, node int, f func()) (rerr *RunError) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -126,7 +124,7 @@ func guardNode(protocol string, phase Phase, round, node int, f func()) (rerr *R
 // containment, response-shape validation, and (when Options.ProverTimeout
 // is set) a deadline. Both executors call the prover exclusively through
 // this helper, so a hostile prover implementation fails identically under
-// either engine.
+// either executor.
 func (s *runState) callRespond(ri, merlinRound int) (*Response, *RunError) {
 	call := func() (resp *Response, rerr *RunError) {
 		defer func() {

@@ -1,11 +1,9 @@
 package network
 
-import "math/rand"
-
-// nodeRNG builds node v's private randomness stream: a splitmix64 sequence
-// seeded by mix(seed, v). Both executors construct node RNGs exclusively
-// through this function (directly, or by re-seeding a pooled *rand.Rand
-// with the same mix — see runState.reset) — that shared construction is
+// nodeSource is node v's private randomness stream: a splitmix64 sequence
+// seeded by mix(seed, v). The sequential executor (runState.reset places
+// all n sources in one backing array) and every node host (NodeState)
+// build node RNGs exclusively through it — that shared construction is
 // what makes their random draws, and hence their results, bit-identical.
 //
 // The source is deliberately not math/rand's default: the lagged-Fibonacci
@@ -13,13 +11,6 @@ import "math/rand"
 // dominates an entire engine run. splitmix64 seeds in O(1) with 8 bytes of
 // state; engine randomness only needs to be deterministic and
 // well-distributed, not cryptographic.
-func nodeRNG(seed int64, v int) *rand.Rand {
-	src := nodeSource(seed, v)
-	return rand.New(&src)
-}
-
-// nodeSource is nodeRNG's underlying source, exposed so runState can place
-// all n sources in one backing array.
 func nodeSource(seed int64, v int) splitmixSource {
 	return splitmixSource{state: uint64(mix(seed, int64(v)))}
 }

@@ -1,7 +1,9 @@
 package network
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"dip/internal/graph"
@@ -91,7 +93,11 @@ func digestSpec() *Spec {
 }
 
 // TestSequentialMatchesConcurrent runs a mix of specs, graphs, provers, and
-// options under both engines and requires bit-identical results.
+// options one run at a time and then as many overlapping runs, and requires
+// bit-identical results. The overlapping runs share each Spec, prover and
+// corruptor and draw engine state from the shared pool; they alternate
+// between the sequential executor and the networked one (over a fresh
+// loopTransport each), so neither executor may leak state between runs.
 func TestSequentialMatchesConcurrent(t *testing.T) {
 	corrupt := func(round, node int, m wire.Message) wire.Message {
 		if node%3 != 1 || m.Bits == 0 {
@@ -129,54 +135,60 @@ func TestSequentialMatchesConcurrent(t *testing.T) {
 			Options{Seed: 8, RecordTranscript: true}},
 		{"single-node", echoSpec(8), graph.New(1), echoProver{}, Options{Seed: 9}},
 	}
+	const seeds, workers = 3, 4
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for seed := int64(0); seed < 3; seed++ {
+			// Parallel subtests make runs of different cases overlap too.
+			t.Parallel()
+			want := make([]*Result, seeds)
+			for s := range want {
 				opts := tc.opts
-				opts.Seed += seed * 1000
-				seqOpts, conOpts := opts, opts
-				seqOpts.Sequential = true
-				conOpts.Concurrent = true
-				seqRes, err := Run(tc.spec, tc.g, nil, tc.prover, seqOpts)
+				opts.Seed += int64(s) * 1000
+				res, err := Run(tc.spec, tc.g, nil, tc.prover, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				conRes, err := Run(tc.spec, tc.g, nil, tc.prover, conOpts)
-				if err != nil {
-					t.Fatal(err)
+				want[s] = res
+			}
+			got := make([][]*Result, workers)
+			errs := make([]error, workers)
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				got[w] = make([]*Result, seeds)
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for s := 0; s < seeds; s++ {
+						opts := tc.opts
+						opts.Seed += int64(s) * 1000
+						if w%2 == 1 {
+							opts.Transport = &loopTransport{}
+						}
+						res, err := Run(tc.spec, tc.g, nil, tc.prover, opts)
+						if err != nil {
+							errs[w] = err
+							return
+						}
+						got[w][s] = res
+					}
+				}(w)
+			}
+			wg.Wait()
+			for w := 0; w < workers; w++ {
+				if errs[w] != nil {
+					t.Fatalf("worker %d: %v", w, errs[w])
 				}
-				resultsIdentical(t, tc.name, seqRes, conRes)
+				for s := 0; s < seeds; s++ {
+					resultsIdentical(t, fmt.Sprintf("%s/worker%d/seed%d", tc.name, w, s),
+						want[s], got[w][s])
+				}
 			}
 		})
 	}
 }
 
-// TestAutoSelectsSequential pins the default: with neither mode forced, the
-// engine behaves exactly like the forced-sequential engine.
-func TestAutoSelectsSequential(t *testing.T) {
-	g := graph.Cycle(6)
-	auto, err := Run(echoSpec(16), g, nil, echoProver{}, Options{Seed: 11, RecordTranscript: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := Run(echoSpec(16), g, nil, echoProver{},
-		Options{Seed: 11, RecordTranscript: true, Sequential: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultsIdentical(t, "auto-vs-sequential", auto, seq)
-}
-
-func TestBothModesRejected(t *testing.T) {
-	g := graph.Path(3)
-	_, err := Run(echoSpec(8), g, nil, echoProver{},
-		Options{Sequential: true, Concurrent: true})
-	if err == nil {
-		t.Fatal("conflicting mode options accepted")
-	}
-}
-
-// TestSequentialProverErrors mirrors the concurrent-engine error paths.
+// TestSequentialProverErrors pins the wrong-shape response error on the
+// default (sequential) executor.
 func TestSequentialProverErrors(t *testing.T) {
 	g := graph.Path(3)
 	spec := &Spec{
@@ -187,8 +199,8 @@ func TestSequentialProverErrors(t *testing.T) {
 	wrongShape := proverFunc(func(int, *ProverView) (*Response, error) {
 		return &Response{PerNode: make([]wire.Message, 1)}, nil
 	})
-	if _, err := Run(spec, g, nil, wrongShape, Options{Sequential: true}); err == nil {
-		t.Fatal("wrong-shape response accepted by sequential engine")
+	if _, err := Run(spec, g, nil, wrongShape, Options{}); err == nil {
+		t.Fatal("wrong-shape response accepted by sequential executor")
 	}
 }
 
@@ -214,31 +226,24 @@ func (mutatingProver) Respond(_ int, view *ProverView) (*Response, error) {
 }
 
 // TestProverMutationCannotAffectDecisions runs the echo protocol with a
-// prover that rewires the graph mid-run, under both engines: every node
+// prover that rewires the graph mid-run, under both executors: every node
 // must still receive its echo over the original topology and accept, with
 // costs identical to an honest run on the pristine graph.
 func TestProverMutationCannotAffectDecisions(t *testing.T) {
-	for _, mode := range []string{"sequential", "concurrent"} {
-		t.Run(mode, func(t *testing.T) {
-			opts := Options{Seed: 21}
-			if mode == "sequential" {
-				opts.Sequential = true
-			} else {
-				opts.Concurrent = true
-			}
-			honest, err := Run(echoSpec(16), graph.Cycle(8), nil, echoProver{}, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g := graph.Cycle(8)
-			mutated, err := Run(echoSpec(16), g, nil, mutatingProver{}, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !mutated.Accepted {
-				t.Fatalf("mutating prover changed decisions: %v", mutated.Decisions)
-			}
-			resultsIdentical(t, "mutation-immunity", honest, mutated)
-		})
-	}
+	engineModes(t, func(t *testing.T, opts Options) {
+		opts.Seed = 21
+		honest, err := Run(echoSpec(16), graph.Cycle(8), nil, echoProver{}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := graph.Cycle(8)
+		mutated, err := Run(echoSpec(16), g, nil, mutatingProver{}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !mutated.Accepted {
+			t.Fatalf("mutating prover changed decisions: %v", mutated.Decisions)
+		}
+		resultsIdentical(t, "mutation-immunity", honest, mutated)
+	})
 }

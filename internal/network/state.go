@@ -76,7 +76,8 @@ type runState struct {
 	// splitmix source per node, and the *rand.Rand wrappers. rngs[v]
 	// points at &sources[v], so the two arrays grow together and a reused
 	// Rand is re-seeded via Rand.Seed (which also resets the Rand's
-	// buffered read state) — bit-identical to a freshly built nodeRNG.
+	// buffered read state) — bit-identical to a fresh rand.New over
+	// nodeSource(seed, v).
 	views       []NodeView
 	sources     []splitmixSource
 	rngs        []*rand.Rand

@@ -8,7 +8,7 @@ import (
 )
 
 // TestPooledStateBitIdentical interleaves runs of different protocols,
-// graph sizes, and engines so that every run after the first executes on a
+// graph sizes, and executors so that every run after the first executes on a
 // recycled runState, and requires each repeat of a configuration to be
 // bit-identical to its first (pool-cold) execution. This is the contract
 // that makes pooling invisible: reset must leave no residue from the
@@ -22,9 +22,9 @@ func TestPooledStateBitIdentical(t *testing.T) {
 	}
 	cfgs := []cfg{
 		{"echo-cycle6", echoSpec(16), graph.Cycle(6), Options{Seed: 7}},
-		{"echo-cycle6-conc", echoSpec(16), graph.Cycle(6), Options{Seed: 7, Concurrent: true}},
+		{"echo-cycle6-net", echoSpec(16), graph.Cycle(6), Options{Seed: 7, Transport: &loopTransport{}}},
 		{"digest-complete5", digestSpec(), graph.Complete(5), Options{Seed: 11}},
-		{"echo-cycle12", echoSpec(32), graph.Cycle(12), Options{Seed: 3, Sequential: true}},
+		{"echo-cycle12", echoSpec(32), graph.Cycle(12), Options{Seed: 3}},
 	}
 	first := make([]*Result, len(cfgs))
 	for i, c := range cfgs {

@@ -2,6 +2,7 @@ package network
 
 import (
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -31,6 +32,7 @@ type loopTransport struct {
 
 func (lt *loopTransport) Begin(run *TransportRun) *RunError {
 	lt.n = run.N
+	lt.chalCur, lt.fwdCur, lt.decCur = 0, 0, 0
 	lt.nodes = make([]*NodeState, run.N)
 	lt.degrees = make([]int, run.N)
 	lt.pending = make(map[int]map[int]wire.Message)
@@ -102,10 +104,10 @@ func (lt *loopTransport) End(failure *RunError) {
 	lt.failure = failure
 }
 
-// TestNetworkedMatchesSequential reuses the engine-equivalence case table:
-// every spec/graph/prover/options mix must produce bit-identical results
-// under the networked executor (nodes hosted through NodeState behind a
-// Transport) and the sequential one.
+// TestNetworkedMatchesSequential is the in-package engine-equivalence
+// table: every spec/graph/prover/options mix must produce bit-identical
+// results under the networked executor (nodes hosted through NodeState
+// behind a Transport) and the sequential one.
 func TestNetworkedMatchesSequential(t *testing.T) {
 	corrupt := func(round, node int, m wire.Message) wire.Message {
 		if node%3 != 1 || m.Bits == 0 {
@@ -139,6 +141,7 @@ func TestNetworkedMatchesSequential(t *testing.T) {
 		opts   Options
 	}{
 		{"echo-cycle", echoSpec(16), graph.Cycle(9), echoProver{}, Options{Seed: 1}},
+		{"echo-complete", echoSpec(32), graph.Complete(7), echoProver{}, Options{Seed: 2}},
 		{"echo-transcript", echoSpec(24), graph.Path(6), echoProver{},
 			Options{Seed: 3, RecordTranscript: true}},
 		{"lying", echoSpec(16), graph.Cycle(5), lyingProver{}, Options{Seed: 4}},
@@ -157,9 +160,7 @@ func TestNetworkedMatchesSequential(t *testing.T) {
 			for seed := int64(0); seed < 3; seed++ {
 				opts := tc.opts
 				opts.Seed += seed * 1000
-				seqOpts := opts
-				seqOpts.Sequential = true
-				seqRes, err := Run(tc.spec, tc.g, nil, tc.prover, seqOpts)
+				seqRes, err := Run(tc.spec, tc.g, nil, tc.prover, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -179,14 +180,92 @@ func TestNetworkedMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestTransportModeExclusive(t *testing.T) {
-	g := graph.Path(3)
-	for _, opts := range []Options{
-		{Transport: &loopTransport{}, Sequential: true},
-		{Transport: &loopTransport{}, Concurrent: true},
-	} {
-		if _, err := Run(echoSpec(8), g, nil, echoProver{}, opts); !errors.Is(err, errTransportMode) {
-			t.Fatalf("Transport+forced-mode: err = %v, want errTransportMode", err)
+// corruptorCall is one invocation of a Corruptor (plane "prover", from -1)
+// or an ExchangeCorruptor (plane "exchange").
+type corruptorCall struct {
+	plane       string
+	round, from int
+	to          int
+}
+
+// TestCorruptorCallOrder pins the corruptor call order both executors
+// share: prover-plane calls once per node ascending in each Merlin round,
+// exchange-plane calls per exchange step with the receiver ascending and
+// the sender in the receiver's ascending neighbor list — the SendExchange
+// order of the Transport contract. The sequential executor and the
+// networked one must produce the identical sequence, and it must equal
+// the order derived from the exported Schedule.
+func TestCorruptorCallOrder(t *testing.T) {
+	// An irregular graph, so neighbor-list order is not a simple pattern.
+	g := graph.New(6)
+	for _, e := range [][2]int{{0, 3}, {0, 5}, {1, 3}, {1, 5}, {2, 5}, {3, 4}, {4, 5}} {
+		g.AddEdge(e[0], e[1])
+	}
+	spec := &Spec{
+		Name:            "call-order",
+		ShareChallenges: true,
+		Rounds: []Round{
+			challengeRound(8),
+			{Kind: Merlin, Digest: func(v int, rng *rand.Rand, m wire.Message) wire.Message {
+				var w wire.Writer
+				w.WriteUint(rng.Uint64()&0xF, 4)
+				return w.Message()
+			}},
+			challengeRound(4),
+			{Kind: Merlin},
+		},
+		Decide: func(int, *NodeView) bool { return true },
+	}
+
+	steps, err := Schedule(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []corruptorCall
+	for _, st := range steps {
+		switch st.Kind {
+		case StepRespond:
+			for v := 0; v < g.N(); v++ {
+				want = append(want, corruptorCall{"prover", st.Merlin, -1, v})
+			}
+		case StepExchange:
+			for to := 0; to < g.N(); to++ {
+				for _, from := range g.Neighbors(to) {
+					want = append(want, corruptorCall{"exchange", st.Round, from, to})
+				}
+			}
+		}
+	}
+
+	record := func(opts Options) []corruptorCall {
+		var got []corruptorCall
+		opts.Seed = 3
+		opts.Corrupt = func(round, node int, m wire.Message) wire.Message {
+			got = append(got, corruptorCall{"prover", round, -1, node})
+			return m
+		}
+		opts.CorruptExchange = func(round, from, to int, m wire.Message) wire.Message {
+			got = append(got, corruptorCall{"exchange", round, from, to})
+			return m
+		}
+		if _, err := Run(spec, g, nil, echoProver{}, opts); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	seq := record(Options{})
+	net := record(Options{Transport: &loopTransport{}})
+	for _, c := range []struct {
+		name string
+		got  []corruptorCall
+	}{{"sequential", seq}, {"networked", net}} {
+		if len(c.got) != len(want) {
+			t.Fatalf("%s: %d corruptor calls, want %d", c.name, len(c.got), len(want))
+		}
+		for i := range want {
+			if c.got[i] != want[i] {
+				t.Fatalf("%s: call %d = %+v, want %+v", c.name, i, c.got[i], want[i])
+			}
 		}
 	}
 }

@@ -35,7 +35,9 @@ type Options struct {
 }
 
 // Validate rejects configurations that cannot mean anything: negative
-// timeouts and out-of-range fault probabilities.
+// timeouts and out-of-range fault probabilities. The probability checks
+// are written so that NaN fails them too: a NaN DropProb would otherwise
+// pass and silently disable the fault (no draw is ever below NaN).
 func (o Options) Validate() error {
 	if o.DialTimeout < 0 {
 		return fmt.Errorf("peer: negative DialTimeout %v", o.DialTimeout)
@@ -44,10 +46,10 @@ func (o Options) Validate() error {
 		return fmt.Errorf("peer: negative IOTimeout %v", o.IOTimeout)
 	}
 	if lf := o.LinkFaults; lf != nil {
-		if lf.DelayProb < 0 || lf.DelayProb > 1 {
+		if !(lf.DelayProb >= 0 && lf.DelayProb <= 1) {
 			return fmt.Errorf("peer: LinkFaults.DelayProb %v outside [0,1]", lf.DelayProb)
 		}
-		if lf.DropProb < 0 || lf.DropProb > 1 {
+		if !(lf.DropProb >= 0 && lf.DropProb <= 1) {
 			return fmt.Errorf("peer: LinkFaults.DropProb %v outside [0,1]", lf.DropProb)
 		}
 		if lf.Delay < 0 {

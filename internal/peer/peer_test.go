@@ -264,9 +264,7 @@ func TestPeerMatchesSequential(t *testing.T) {
 			if tc.spec != "input" {
 				prover = echoProver{}
 			}
-			seqOpts := tc.opts
-			seqOpts.Sequential = true
-			seqRes, err := network.Run(spec, tc.g, inputs, prover, seqOpts)
+			seqRes, err := network.Run(spec, tc.g, inputs, prover, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -304,7 +302,7 @@ func TestPeerFleetReuse(t *testing.T) {
 	spec := echoSpec(16)
 	for seed := int64(1); seed <= 3; seed++ {
 		seqRes, err := network.Run(spec, g, nil, echoProver{},
-			network.Options{Seed: seed, Sequential: true})
+			network.Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -387,7 +385,7 @@ func TestSessionStorm(t *testing.T) {
 				return
 			}
 			seqRes, err := network.Run(spec, jb.g, nil, echoProver{},
-				network.Options{Seed: jb.seed, Sequential: true})
+				network.Options{Seed: jb.seed})
 			if err != nil {
 				results[i] = err
 				return
@@ -878,7 +876,7 @@ func TestLinkFaultDelaySlowLink(t *testing.T) {
 	g := graph.Path(4)
 	spec := echoSpec(8)
 	seqRes, err := network.Run(spec, g, nil, echoProver{},
-		network.Options{Seed: 1, Sequential: true})
+		network.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,7 +115,7 @@ func (w *WireReport) Validate() error {
 			return fmt.Errorf("report: per-round prover bits sum to %d, max_prover_bits %d", sum, w.MaxProverBits)
 		}
 	}
-	if w.FaultProb < 0 || w.FaultProb > 1 {
+	if !(w.FaultProb >= 0 && w.FaultProb <= 1) { // also refuses NaN
 		return fmt.Errorf("report: fault_prob %v", w.FaultProb)
 	}
 	if w.Deliveries < 0 || w.DeliveredBits < 0 {
