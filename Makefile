@@ -1,33 +1,28 @@
 GO ?= go
 
-.PHONY: verify lint vet build test race stress smoke fuzz-short fault-smoke serve-smoke load-check chaos-smoke jobs-smoke peer-smoke fleet-smoke bench bench-check tables tables-quick clean
+.PHONY: verify lint vet build test race stress smoke fuzz-short fault-smoke e2e bench bench-check tables tables-quick clean
 
-# verify is the tier-1 gate: lint, build, tests, the race check across the
-# whole module (short mode keeps it minutes, not hours), a results-file
-# smoke round-trip, a short mutation burst on every decoder fuzz target,
-# a fault-matrix smoke run, a live service round-trip (dipserve under
-# dipload, drained cleanly), a plain+batch load round-trip with a
-# leak check on the drained service, an adversarial chaos session
-# against the live service (dipload -chaos), and the job-tier
-# crash-replay drill (jobs-smoke: SIGKILL mid-backlog, restart, every
-# job completes exactly once), the multi-process peer drill
-# (peer-smoke: a real dippeer fleet must produce the byte-identical
-# dip-report/v1, fail structurally when a peer dies, and drain cleanly),
-# and the fleet-backed serving drill (fleet-smoke: dipserve -peers on a
-# standing dippeer fleet, one peer killed mid-load, structured 502s and
-# recovery on the survivors, clean drain end to end). test and race run
-# every package at one and four procs, and stress repeats the packages
-# with the most concurrency, so a failure that needs several cores, or
-# a lucky interleaving, cannot pass on a single-CPU box.
-verify: lint build test race stress smoke fuzz-short fault-smoke serve-smoke load-check chaos-smoke jobs-smoke peer-smoke fleet-smoke
+# verify is the tier-1 gate, nine stages: lint, build, tests, the race
+# check across the whole module (short mode keeps it minutes, not
+# hours), a stress pass, a results-file smoke round-trip, a short
+# mutation burst on every decoder fuzz target, a fault-matrix smoke run,
+# and the process drills (e2e: the service, load, chaos, job-replay,
+# peer-fleet and fleet-serving drills against the real binaries). test
+# and race run every package at one and four procs, and stress repeats
+# the packages with the most concurrency, so a failure that needs
+# several cores, or a lucky interleaving, cannot pass on a single-CPU
+# box.
+verify: lint build test race stress smoke fuzz-short fault-smoke e2e
 
-# lint fails on unformatted files or vet findings.
+# lint fails on unformatted files or vet findings, in the smoke-tagged
+# drill package too.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 	$(GO) vet ./...
+	$(GO) vet -tags smoke ./internal/smoke
 
 vet:
 	$(GO) vet ./...
@@ -81,223 +76,16 @@ fault-smoke:
 	$(GO) run ./cmd/dipbench -faults -quick -seed 1 -progress=false -json /tmp/dip-fault-smoke.json >/dev/null
 	$(GO) run ./cmd/dipbench -validate /tmp/dip-fault-smoke.json
 
-# serve-smoke exercises the verification service end to end: build
-# dipserve and dipload, boot the service on an ephemeral port, fire a
-# short load run, validate the dip-load/v1 file, and drain with SIGTERM.
-# The trap tears the server down even when a middle step fails.
-serve-smoke:
-	@dir=$$(mktemp -d /tmp/dip-serve-smoke.XXXXXX); \
-	$(GO) build -o $$dir/dipserve ./cmd/dipserve || exit 1; \
-	$(GO) build -o $$dir/dipload ./cmd/dipload || exit 1; \
-	$$dir/dipserve -addr 127.0.0.1:0 -addr-file $$dir/addr -workers 4 -queue 16 >$$dir/serve.log 2>&1 & \
-	pid=$$!; \
-	trap 'kill -TERM $$pid 2>/dev/null; wait $$pid 2>/dev/null; rm -rf '"$$dir" EXIT; \
-	for i in $$(seq 1 100); do [ -s $$dir/addr ] && break; sleep 0.1; done; \
-	[ -s $$dir/addr ] || { echo "dipserve never bound"; cat $$dir/serve.log; exit 1; }; \
-	addr=$$(head -n1 $$dir/addr); \
-	$$dir/dipload -url http://$$addr -protocol sym-dmam,sym-dam -n 32 -c 4 -requests 300 -seed 1 -json $$dir/load.json || { cat $$dir/serve.log; exit 1; }; \
-	$(GO) run ./cmd/dipbench -validate $$dir/load.json || exit 1; \
-	kill -TERM $$pid; \
-	wait $$pid || { echo "dipserve exited non-zero after drain"; cat $$dir/serve.log; exit 1; }; \
-	grep -q drained $$dir/serve.log || { echo "no drain marker in log"; cat $$dir/serve.log; exit 1; }; \
-	echo "serve-smoke: ok"
-
-# load-check exercises the request path end to end in both shapes: boot
-# dipserve on an ephemeral port, run a short plain load and a short batch
-# load, validate both dip-load/v1 files, fail on any request error, and
-# fail if the drained service reports leaked work (non-zero in-flight or
-# queue gauges on /metrics).
-load-check:
-	@dir=$$(mktemp -d /tmp/dip-load-check.XXXXXX); \
-	$(GO) build -o $$dir/dipserve ./cmd/dipserve || exit 1; \
-	$(GO) build -o $$dir/dipload ./cmd/dipload || exit 1; \
-	$$dir/dipserve -addr 127.0.0.1:0 -addr-file $$dir/addr -workers 4 -queue 16 >$$dir/serve.log 2>&1 & \
-	pid=$$!; \
-	trap 'kill -TERM $$pid 2>/dev/null; wait $$pid 2>/dev/null; rm -rf '"$$dir" EXIT; \
-	for i in $$(seq 1 100); do [ -s $$dir/addr ] && break; sleep 0.1; done; \
-	[ -s $$dir/addr ] || { echo "dipserve never bound"; cat $$dir/serve.log; exit 1; }; \
-	addr=$$(head -n1 $$dir/addr); \
-	$$dir/dipload -url http://$$addr -protocol sym-dmam -n 32 -c 4 -requests 200 -seed 1 -json $$dir/plain.json || { cat $$dir/serve.log; exit 1; }; \
-	$$dir/dipload -url http://$$addr -protocol sym-dmam -n 32 -c 4 -requests 200 -batch 25 -seed 1 -json $$dir/batch.json || { cat $$dir/serve.log; exit 1; }; \
-	$(GO) run ./cmd/dipbench -validate $$dir/plain.json $$dir/batch.json || exit 1; \
-	grep -q '"errors": 0' $$dir/plain.json || { echo "plain load reported errors"; cat $$dir/plain.json; exit 1; }; \
-	grep -q '"errors": 0' $$dir/batch.json || { echo "batch load reported errors"; cat $$dir/batch.json; exit 1; }; \
-	curl -sf http://$$addr/metrics >$$dir/metrics.json || { echo "metrics unreachable"; exit 1; }; \
-	grep -q '"in_flight": 0' $$dir/metrics.json || { echo "in-flight gauge nonzero after load"; cat $$dir/metrics.json; exit 1; }; \
-	grep -q '"queue_depth": 0' $$dir/metrics.json || { echo "queue gauge nonzero after load"; cat $$dir/metrics.json; exit 1; }; \
-	kill -TERM $$pid; \
-	wait $$pid || { echo "dipserve exited non-zero after drain"; cat $$dir/serve.log; exit 1; }; \
-	echo "load-check: ok"
-
-# chaos-smoke hardens the serving boundary: boot dipserve on an ephemeral
-# port (with a generous rate limit so well-behaved smoke traffic is never
-# quota-refused), fire a seed-deterministic adversarial session through
-# `dipload -chaos` — malformed/truncated/oversized bodies, slowloris
-# drips, disconnects, garbage framing — then require a clean SIGTERM
-# drain and a panic-free server log. dipload itself gates on structured
-# 4xx/5xx answers, drained gauges, and a settled goroutine count.
-chaos-smoke:
-	@dir=$$(mktemp -d /tmp/dip-chaos-smoke.XXXXXX); \
-	$(GO) build -o $$dir/dipserve ./cmd/dipserve || exit 1; \
-	$(GO) build -o $$dir/dipload ./cmd/dipload || exit 1; \
-	$$dir/dipserve -addr 127.0.0.1:0 -addr-file $$dir/addr -workers 4 -queue 16 -rate-limit 500 >$$dir/serve.log 2>&1 & \
-	pid=$$!; \
-	trap 'kill -TERM $$pid 2>/dev/null; wait $$pid 2>/dev/null; rm -rf '"$$dir" EXIT; \
-	for i in $$(seq 1 100); do [ -s $$dir/addr ] && break; sleep 0.1; done; \
-	[ -s $$dir/addr ] || { echo "dipserve never bound"; cat $$dir/serve.log; exit 1; }; \
-	addr=$$(head -n1 $$dir/addr); \
-	$$dir/dipload -url http://$$addr -chaos 120 -c 6 -seed 1 || { cat $$dir/serve.log; exit 1; }; \
-	$$dir/dipload -url http://$$addr -protocol sym-dmam -n 16 -c 2 -requests 20 -seed 2 >/dev/null || { echo "post-chaos load failed"; cat $$dir/serve.log; exit 1; }; \
-	kill -TERM $$pid; \
-	wait $$pid || { echo "dipserve exited non-zero after chaos"; cat $$dir/serve.log; exit 1; }; \
-	grep -q drained $$dir/serve.log || { echo "no drain marker in log"; cat $$dir/serve.log; exit 1; }; \
-	if grep -qi panic $$dir/serve.log; then echo "panic in server log"; cat $$dir/serve.log; exit 1; fi; \
-	echo "chaos-smoke: ok"
-
-# jobs-smoke proves the crash-replay contract end to end. Boot 1 runs
-# with a durable journal in ingest-only mode (-job-workers 0), so every
-# submitted job is deterministically still pending when the server is
-# SIGKILL'd — no graceful drain, no flush beyond the per-record journal
-# write. Boot 2 reopens the same journal with workers, replays the
-# backlog, and `dipload -jobs poll` requires every recorded job id to
-# finish with a validated dip-job/v1 envelope whose report matches the
-# submitted seed and protocol. The /metrics gates then pin "exactly
-# once": completed equals the backlog size, nothing parked, no ack
-# errors, and the replay marker in the log names the full backlog.
-jobs-smoke:
-	@dir=$$(mktemp -d /tmp/dip-jobs-smoke.XXXXXX); \
-	$(GO) build -o $$dir/dipserve ./cmd/dipserve || exit 1; \
-	$(GO) build -o $$dir/dipload ./cmd/dipload || exit 1; \
-	$$dir/dipserve -addr 127.0.0.1:0 -addr-file $$dir/addr -workers 2 -journal $$dir/jobs.journal -job-workers 0 >$$dir/serve1.log 2>&1 & \
-	pid=$$!; \
-	trap 'kill -9 $$pid 2>/dev/null; wait $$pid 2>/dev/null; rm -rf '"$$dir" EXIT; \
-	for i in $$(seq 1 100); do [ -s $$dir/addr ] && break; sleep 0.1; done; \
-	[ -s $$dir/addr ] || { echo "dipserve never bound"; cat $$dir/serve1.log; exit 1; }; \
-	addr=$$(head -n1 $$dir/addr); \
-	$$dir/dipload -url http://$$addr -jobs submit -jobs-file $$dir/ids -protocol sym-dmam,sym-dam -n 24 -c 4 -requests 40 -seed 1 || { cat $$dir/serve1.log; exit 1; }; \
-	kill -9 $$pid; \
-	wait $$pid 2>/dev/null; \
-	rm -f $$dir/addr; \
-	$$dir/dipserve -addr 127.0.0.1:0 -addr-file $$dir/addr -workers 2 -journal $$dir/jobs.journal -job-workers 4 >$$dir/serve2.log 2>&1 & \
-	pid=$$!; \
-	for i in $$(seq 1 100); do [ -s $$dir/addr ] && break; sleep 0.1; done; \
-	[ -s $$dir/addr ] || { echo "dipserve never rebound"; cat $$dir/serve2.log; exit 1; }; \
-	addr=$$(head -n1 $$dir/addr); \
-	$$dir/dipload -url http://$$addr -jobs poll -jobs-file $$dir/ids -seed 1 || { cat $$dir/serve2.log; exit 1; }; \
-	grep -q 'journal replayed 40 pending' $$dir/serve2.log || { echo "replay marker missing or wrong count"; cat $$dir/serve2.log; exit 1; }; \
-	curl -sf http://$$addr/metrics >$$dir/metrics.json || { echo "metrics unreachable"; exit 1; }; \
-	grep -q '"completed": 40' $$dir/metrics.json || { echo "completed != backlog (lost or doubled jobs)"; cat $$dir/metrics.json; exit 1; }; \
-	grep -q '"parked": 0' $$dir/metrics.json || { echo "jobs parked as poison"; cat $$dir/metrics.json; exit 1; }; \
-	grep -q '"ack_errors": 0' $$dir/metrics.json || { echo "journal refused settles"; cat $$dir/metrics.json; exit 1; }; \
-	kill -TERM $$pid; \
-	wait $$pid || { echo "dipserve exited non-zero after drain"; cat $$dir/serve2.log; exit 1; }; \
-	grep -q drained $$dir/serve2.log || { echo "no drain marker in log"; cat $$dir/serve2.log; exit 1; }; \
-	echo "jobs-smoke: ok"
-
-# peer-smoke proves the multi-process executor end to end. Boot four
-# dippeer processes on ephemeral ports, run the same sym-dmam instance
-# in-process and against the fleet, and require the two dip-report/v1
-# files to be byte-identical (cmp, not a field diff — the pin is exact).
-# Then boot a peer armed with -fail-session 1 (os.Exit mid-exchange on
-# its first session), run against a fleet containing it, and require a
-# non-zero exit with a structured transport-phase error on stderr — a
-# dying peer must fail the run loudly, never hang or mis-answer. The
-# healthy fleet must still serve a fresh session after the wreck, and a
-# SIGTERM drain of every surviving peer must log its drain marker.
-peer-smoke:
-	@dir=$$(mktemp -d /tmp/dip-peer-smoke.XXXXXX); \
-	$(GO) build -o $$dir/dippeer ./cmd/dippeer || exit 1; \
-	$(GO) build -o $$dir/dipsim ./cmd/dipsim || exit 1; \
-	pids=""; \
-	trap 'kill -9 $$pids 2>/dev/null; rm -rf '"$$dir" EXIT; \
-	for i in 1 2 3 4; do \
-		$$dir/dippeer -addr 127.0.0.1:0 -addr-file $$dir/addr$$i >$$dir/peer$$i.log 2>&1 & \
-		pids="$$pids $$!"; \
-	done; \
-	for i in 1 2 3 4; do \
-		for t in $$(seq 1 100); do [ -s $$dir/addr$$i ] && break; sleep 0.1; done; \
-		[ -s $$dir/addr$$i ] || { echo "peer $$i never bound"; cat $$dir/peer$$i.log; exit 1; }; \
-	done; \
-	addrs=$$(head -n1 $$dir/addr1),$$(head -n1 $$dir/addr2),$$(head -n1 $$dir/addr3),$$(head -n1 $$dir/addr4); \
-	$$dir/dipsim -protocol sym-dmam -graph doubled -n 16 -seed 7 -json $$dir/inproc.json >/dev/null || exit 1; \
-	$$dir/dipsim -protocol sym-dmam -graph doubled -n 16 -seed 7 -peers $$addrs -json $$dir/fleet.json >/dev/null || { echo "fleet run failed"; for i in 1 2 3 4; do cat $$dir/peer$$i.log; done; exit 1; }; \
-	cmp $$dir/inproc.json $$dir/fleet.json || { echo "fleet report is not byte-identical to in-process"; exit 1; }; \
-	$$dir/dippeer -addr 127.0.0.1:0 -addr-file $$dir/addrF -fail-session 1 >$$dir/peerF.log 2>&1 & \
-	failpid=$$!; \
-	for t in $$(seq 1 100); do [ -s $$dir/addrF ] && break; sleep 0.1; done; \
-	[ -s $$dir/addrF ] || { echo "failing peer never bound"; cat $$dir/peerF.log; exit 1; }; \
-	if $$dir/dipsim -protocol sym-dmam -graph doubled -n 16 -seed 7 -peers $$addrs,$$(head -n1 $$dir/addrF) >/dev/null 2>$$dir/fail.err; then \
-		echo "run with a dying peer unexpectedly succeeded"; exit 1; \
-	fi; \
-	grep -q 'transport phase' $$dir/fail.err || { echo "no structured transport error:"; cat $$dir/fail.err; exit 1; }; \
-	wait $$failpid; [ $$? -eq 2 ] || { echo "failing peer did not exit 2"; cat $$dir/peerF.log; exit 1; }; \
-	$$dir/dipsim -protocol sym-dmam -graph doubled -n 16 -seed 7 -peers $$addrs -json $$dir/fleet2.json >/dev/null || { echo "healthy fleet broken after wreck"; exit 1; }; \
-	cmp $$dir/inproc.json $$dir/fleet2.json || { echo "post-wreck fleet report diverged"; exit 1; }; \
-	kill -TERM $$pids; \
-	for p in $$pids; do wait $$p || { echo "peer $$p exited non-zero after drain"; exit 1; }; done; \
-	for i in 1 2 3 4; do grep -q drained $$dir/peer$$i.log || { echo "no drain marker in peer $$i log"; cat $$dir/peer$$i.log; exit 1; }; done; \
-	echo "peer-smoke: ok"
-
-# fleet-smoke proves the fleet-backed serving tier end to end. Boot three
-# dippeer processes and a dipserve pointed at them with -peers, then push
-# the full request surface through the standing fleet: a plain load, a
-# batch load, and an async jobs submit/poll round (all must finish with
-# zero errors; the two dip-load/v1 files must validate). Then SIGKILL one
-# peer while a second plain load is in flight: dipload must still exit
-# cleanly (no dropped connections — the failures are structured 502
-# answers, which it counts as errors), the load file must record a
-# non-zero error count for the kill window, /readyz must stay 200 while
-# naming the dead peer unreachable, and a fresh load against the
-# two-peer remainder must complete with zero errors. Finally a SIGTERM
-# drain of dipserve and both surviving peers must log every drain marker.
-fleet-smoke:
-	@dir=$$(mktemp -d /tmp/dip-fleet-smoke.XXXXXX); \
-	$(GO) build -o $$dir/dippeer ./cmd/dippeer || exit 1; \
-	$(GO) build -o $$dir/dipserve ./cmd/dipserve || exit 1; \
-	$(GO) build -o $$dir/dipload ./cmd/dipload || exit 1; \
-	pids=""; \
-	trap 'kill -9 $$pids $$srvpid 2>/dev/null; rm -rf '"$$dir" EXIT; \
-	for i in 1 2 3; do \
-		$$dir/dippeer -addr 127.0.0.1:0 -addr-file $$dir/peer$$i.addr >$$dir/peer$$i.log 2>&1 & \
-		eval p$$i=$$!; \
-		pids="$$pids $$!"; \
-	done; \
-	for i in 1 2 3; do \
-		for t in $$(seq 1 100); do [ -s $$dir/peer$$i.addr ] && break; sleep 0.1; done; \
-		[ -s $$dir/peer$$i.addr ] || { echo "peer $$i never bound"; cat $$dir/peer$$i.log; exit 1; }; \
-	done; \
-	peers=$$(head -n1 $$dir/peer1.addr),$$(head -n1 $$dir/peer2.addr),$$(head -n1 $$dir/peer3.addr); \
-	$$dir/dipserve -addr 127.0.0.1:0 -addr-file $$dir/addr -workers 4 -queue 16 -peers $$peers -journal $$dir/jobs.journal -job-workers 2 >$$dir/serve.log 2>&1 & \
-	srvpid=$$!; \
-	for t in $$(seq 1 100); do [ -s $$dir/addr ] && break; sleep 0.1; done; \
-	[ -s $$dir/addr ] || { echo "dipserve never bound"; cat $$dir/serve.log; exit 1; }; \
-	addr=$$(head -n1 $$dir/addr); \
-	$$dir/dipload -url http://$$addr -protocol sym-dmam,sym-dam -n 24 -c 4 -requests 120 -seed 1 -json $$dir/plain.json || { cat $$dir/serve.log; exit 1; }; \
-	$$dir/dipload -url http://$$addr -protocol sym-dmam -n 24 -c 4 -requests 100 -batch 20 -seed 2 -json $$dir/batch.json || { cat $$dir/serve.log; exit 1; }; \
-	$$dir/dipload -url http://$$addr -jobs submit -jobs-file $$dir/ids -protocol sym-dmam -n 24 -c 4 -requests 30 -seed 3 || { cat $$dir/serve.log; exit 1; }; \
-	$$dir/dipload -url http://$$addr -jobs poll -jobs-file $$dir/ids -seed 3 || { cat $$dir/serve.log; exit 1; }; \
-	$(GO) run ./cmd/dipbench -validate $$dir/plain.json $$dir/batch.json || exit 1; \
-	grep -q '"errors": 0' $$dir/plain.json || { echo "healthy-fleet plain load reported errors"; cat $$dir/plain.json; exit 1; }; \
-	grep -q '"errors": 0' $$dir/batch.json || { echo "healthy-fleet batch load reported errors"; cat $$dir/batch.json; exit 1; }; \
-	$$dir/dipload -url http://$$addr -protocol sym-dmam -n 24 -c 4 -requests 1500 -seed 4 -json $$dir/kill.json >$$dir/kill.out 2>&1 & \
-	loadpid=$$!; \
-	sleep 1; \
-	kill -9 $$p1; \
-	wait $$loadpid || { echo "load across the peer kill dropped connections"; cat $$dir/kill.out $$dir/serve.log; exit 1; }; \
-	if grep -q '"errors": 0' $$dir/kill.json; then \
-		echo "no structured 502s observed across the peer kill"; cat $$dir/kill.json; exit 1; \
-	fi; \
-	curl -sf http://$$addr/readyz >$$dir/ready.json || { echo "readyz not 200 with one peer down"; exit 1; }; \
-	grep -q '"unreachable"' $$dir/ready.json || { echo "readyz does not name the dead peer"; cat $$dir/ready.json; exit 1; }; \
-	$$dir/dipload -url http://$$addr -protocol sym-dmam -n 24 -c 4 -requests 60 -seed 5 -json $$dir/recover.json || { cat $$dir/serve.log; exit 1; }; \
-	grep -q '"errors": 0' $$dir/recover.json || { echo "fleet did not recover on the surviving peers"; cat $$dir/recover.json; exit 1; }; \
-	kill -TERM $$srvpid; \
-	wait $$srvpid || { echo "dipserve exited non-zero after drain"; cat $$dir/serve.log; exit 1; }; \
-	grep -q drained $$dir/serve.log || { echo "no drain marker in dipserve log"; cat $$dir/serve.log; exit 1; }; \
-	kill -TERM $$p2 $$p3; \
-	for p in $$p2 $$p3; do wait $$p || { echo "peer $$p exited non-zero after drain"; exit 1; }; done; \
-	for i in 2 3; do grep -q drained $$dir/peer$$i.log || { echo "no drain marker in peer $$i log"; cat $$dir/peer$$i.log; exit 1; }; done; \
-	echo "fleet-smoke: ok"
+# e2e runs the process drills in internal/smoke: the real dipserve,
+# dipload, dippeer and dipsim binaries, built once, booted on ephemeral
+# ports and drained with SIGTERM. TestServe and TestLoad round-trip the
+# service, TestChaos fires an adversarial session at it,
+# TestJobsCrashReplay SIGKILLs the job tier mid-backlog and replays it,
+# TestPeerFleet pins a dippeer fleet's report byte-identical to the
+# in-process one, and TestFleetServing kills a peer under a live
+# fleet-backed load. The package comment describes every gate.
+e2e:
+	$(GO) test -tags smoke -count=1 ./internal/smoke
 
 # bench runs the engine micro-benchmark (sequential executor, n=256).
 bench:

@@ -57,7 +57,6 @@ func run() error {
 		progress    = flag.Bool("progress", true, "report live per-cell progress on stderr")
 		faultsMode  = flag.Bool("faults", false, "run the fault-injection matrix (E12); -json emits dip-fault/v1")
 		validate    = flag.String("validate", "", "validate existing results files against their schemas and exit (accepts further paths as positional args)")
-		benchAllocs = flag.Bool("bench-allocs", true, "measure the engine reference workload's allocs/op and embed it in -json output")
 		benchCheck  = flag.String("bench-check", "", "re-measure allocs/op and fail on >10% regressions: dip-bench files gate the engine workload, dip-load files the request path (accepts further paths as positional args)")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this path")
 		memprofile  = flag.String("memprofile", "", "write a heap profile to this path")
@@ -141,15 +140,13 @@ func run() error {
 	}
 
 	if *jsonPath != "" {
-		if *benchAllocs {
-			eb, err := experiments.MeasureEngineAllocs()
-			if err != nil {
-				return err
-			}
-			results.EngineBench = eb
-			fmt.Fprintf(os.Stderr, "engine bench: %.0f allocs/op (%s, n=%d)\n",
-				eb.AllocsPerOp, eb.Workload, eb.Nodes)
+		eb, err := experiments.MeasureEngineAllocs()
+		if err != nil {
+			return err
 		}
+		results.EngineBench = eb
+		fmt.Fprintf(os.Stderr, "engine bench: %.0f allocs/op (%s, n=%d)\n",
+			eb.AllocsPerOp, eb.Workload, eb.Nodes)
 		if *jsonTimings {
 			timings.Parallel = *parallel
 			timings.GoVersion = runtime.Version()

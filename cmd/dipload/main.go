@@ -81,16 +81,7 @@ func main() {
 	flag.StringVar(&o.jobsMode, "jobs", "", "async job mode: submit (enqueue and record ids), poll (verify a recorded id set), full (both)")
 	flag.StringVar(&o.jobsFile, "jobs-file", "", "job id manifest: -jobs submit writes it, -jobs poll reads it")
 	flag.DurationVar(&o.pollWait, "poll-wait", time.Minute, "bound on waiting for the whole job set to settle in -jobs poll/full")
-	gomaxprocs := flag.Int("gomaxprocs", 0, "pin the generator's GOMAXPROCS for the run (0 keeps the runtime default); recorded in -json output for sweep provenance")
 	flag.Parse()
-
-	if *gomaxprocs < 0 {
-		fmt.Fprintln(os.Stderr, "dipload: -gomaxprocs must be >= 0")
-		os.Exit(2)
-	}
-	if *gomaxprocs > 0 {
-		runtime.GOMAXPROCS(*gomaxprocs)
-	}
 
 	for _, p := range strings.Split(protoList, ",") {
 		p = strings.TrimSpace(p)

@@ -29,9 +29,10 @@ type LoadResultsFile struct {
 	// Concurrency is the number of in-flight client workers.
 	Concurrency int `json:"concurrency"`
 	// GOMAXPROCS records the generator process's scheduler width during the
-	// run — provenance for comparing throughput numbers across -gomaxprocs
-	// sweeps (a single-threaded generator saturates well before the service
-	// does). Zero in files from older tool builds.
+	// run (set with the GOMAXPROCS environment variable, e.g. GOMAXPROCS=4)
+	// — provenance for comparing throughput numbers across sweeps (a
+	// single-threaded generator saturates well before the service does).
+	// Zero in files from older tool builds.
 	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
 	// Requests counts completed requests (2xx responses with a decodable
 	// report). Errors counts requests the service (or its answer)

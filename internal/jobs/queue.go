@@ -1,7 +1,7 @@
-// Package jobs is the durable async job tier: a small Publisher/Consumer
-// queue abstraction with swappable backends (in-memory, file-backed
-// journal), a worker pool that drains it with bounded retries and a
-// poison lane, and a TTL-bounded result store with idempotency-key
+// Package jobs is the durable async job tier: a small Queue interface
+// (publish, dequeue, ack/nack) with swappable backends (in-memory,
+// file-backed journal), a worker pool that drains it with bounded
+// retries and a poison lane, and a TTL-bounded result store with idempotency-key
 // dedup. cmd/dipserve wires it behind POST /v1/jobs for proofs too
 // heavy for the synchronous 503-when-full admission queue: the backlog
 // may be arbitrary, workers may crash, and with the file backend the
@@ -51,19 +51,15 @@ type Result struct {
 	Attempts int `json:"attempts,omitempty"`
 }
 
-// Publisher is the enqueue half of a queue.
-type Publisher interface {
+// Queue is a swappable job-queue backend. A dequeued job is in flight
+// until the consumer settles it with exactly one Ack or returns it with
+// Nack; a durable backend persists only Publish and Ack, so an in-flight
+// job that is never settled (worker crash, process death) replays as
+// pending on the next open.
+type Queue interface {
 	// Publish adds a job to the backlog. It fails on duplicate IDs, a
 	// closed queue, or a full backlog (ErrBacklogFull).
 	Publish(j *Job) error
-}
-
-// Consumer is the dequeue-and-settle half of a queue. A dequeued job is
-// in flight until the consumer settles it with exactly one Ack or
-// returns it with Nack; a durable backend persists only Publish and Ack,
-// so an in-flight job that is never settled (worker crash, process
-// death) replays as pending on the next open.
-type Consumer interface {
 	// Dequeue blocks for the next pending job until ctx is done
 	// (returning ctx.Err()) or the queue closes (returning ErrClosed).
 	Dequeue(ctx context.Context) (*Job, error)
@@ -72,12 +68,6 @@ type Consumer interface {
 	// Nack returns an in-flight job to the front of the backlog (the
 	// attempt did not complete; someone else may pick it up).
 	Nack(id string) error
-}
-
-// Queue is a swappable job-queue backend.
-type Queue interface {
-	Publisher
-	Consumer
 	// Depth is the current pending backlog (excluding in-flight jobs).
 	Depth() int
 	// InFlight is the number of dequeued-but-unsettled jobs.

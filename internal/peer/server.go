@@ -47,8 +47,9 @@ type Server struct {
 	// FailSession, when positive, is a crash-test hook: the
 	// FailSession-th accepted session kills the whole process
 	// (os.Exit(2)) at its first exchange step — mid-round, after traffic
-	// has flowed. The peer-smoke gate uses it to prove a coordinator
-	// survives losing a peer with a structured error instead of a hang.
+	// has flowed. The TestPeerFleet process drill uses it to prove a
+	// coordinator survives losing a peer with a structured error instead
+	// of a hang.
 	FailSession int
 	// FailSoft, when positive, aborts only the FailSoft-th accepted
 	// session at its first exchange step with a structured error, leaving

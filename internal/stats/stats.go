@@ -139,6 +139,9 @@ func Percentile(xs []float64, p float64) float64 {
 	if lo == hi {
 		return xs[lo]
 	}
+	// Interpolate as lo + Δ·frac, capped at xs[hi]: the weighted form
+	// xs[lo]·(1−frac) + xs[hi]·frac can round above a run of equal
+	// values, which puts p95 above p99 and the maximum.
 	frac := rank - float64(lo)
-	return xs[lo]*(1-frac) + xs[hi]*frac
+	return min(xs[lo]+(xs[hi]-xs[lo])*frac, xs[hi])
 }

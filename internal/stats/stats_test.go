@@ -141,4 +141,21 @@ func TestPercentile(t *testing.T) {
 	if got := Percentile([]float64{7}, 99); got != 7 {
 		t.Errorf("single element: %v", got)
 	}
+	// A run of equal samples interpolates to exactly that sample, and the
+	// quantiles never decrease in p.
+	flat := make([]float64, 200)
+	for i := range flat {
+		flat[i] = 1.259905
+	}
+	if got := Percentile(flat, 95); got != flat[0] {
+		t.Errorf("Percentile(flat, 95) = %v, want %v", got, flat[0])
+	}
+	ties := []float64{0.1, 0.1, 0.3, 0.3, 0.3, 0.7, 1.259905, 1.259905}
+	for p, prev := 0.0, 0.0; p <= 100; p += 0.25 {
+		got := Percentile(ties, p)
+		if got < prev || got > ties[len(ties)-1] {
+			t.Fatalf("Percentile(ties, %v) = %v after %v, max %v", p, got, prev, ties[len(ties)-1])
+		}
+		prev = got
+	}
 }
