@@ -2,17 +2,18 @@ GO ?= go
 
 .PHONY: verify lint vet build test race stress smoke fuzz-short fault-smoke e2e bench bench-check tables tables-quick clean
 
-# verify is the tier-1 gate, nine stages: lint, build, tests, the race
+# verify is the tier-1 gate, ten stages: lint, build, tests, the race
 # check across the whole module (short mode keeps it minutes, not
 # hours), a stress pass, a results-file smoke round-trip, a short
 # mutation burst on every decoder fuzz target, a fault-matrix smoke run,
-# and the process drills (e2e: the service, load, chaos, job-replay,
-# peer-fleet and fleet-serving drills against the real binaries). test
-# and race run every package at one and four procs, and stress repeats
-# the packages with the most concurrency, so a failure that needs
-# several cores, or a lucky interleaving, cannot pass on a single-CPU
-# box.
-verify: lint build test race stress smoke fuzz-short fault-smoke e2e
+# the allocation baselines (bench-check), and the process drills (e2e:
+# the service, load, chaos, job-replay, peer-fleet and fleet-serving
+# drills against the real binaries). test and race run every package at
+# one and four procs, bench-check runs at one and four procs too, and
+# stress repeats the packages with the most concurrency, so a failure
+# that needs several cores, or a lucky interleaving, cannot pass on a
+# single-CPU box.
+verify: lint build test race stress smoke fuzz-short fault-smoke bench-check e2e
 
 # lint fails on unformatted files or vet findings, in the smoke-tagged
 # drill package too.
@@ -94,9 +95,11 @@ bench:
 # bench-check re-measures allocs/op for both committed baselines and fails
 # on a >10% regression: the engine workload against the engine_bench record
 # in BENCH_seed1.json and the full request path against the request_bench
-# record in LOAD_seed2.json.
+# record in LOAD_seed2.json. It runs at one and four procs, so a baseline
+# holds on any core count.
 bench-check:
-	$(GO) run ./cmd/dipbench -bench-check BENCH_seed1.json LOAD_seed2.json
+	GOMAXPROCS=1 $(GO) run ./cmd/dipbench -bench-check BENCH_seed1.json LOAD_seed2.json
+	GOMAXPROCS=4 $(GO) run ./cmd/dipbench -bench-check BENCH_seed1.json LOAD_seed2.json
 
 # tables regenerates every EXPERIMENTS.md table at full trial counts and
 # the committed BENCH_seed1.json / FAULT_seed1.json sidecars (quick sizes,

@@ -339,7 +339,16 @@ func run(o options) error {
 		fmt.Printf("dipload: request bench %.0f allocs/op\n", allocs)
 	}
 	if err := results.Validate(); err != nil {
-		return err
+		if completed > 0 || o.jsonPath == "" {
+			return err
+		}
+		// Every request failed. The error counts are what the run found,
+		// so the file records them all the same, and the run still fails.
+		if werr := results.WriteFile(o.jsonPath); werr != nil {
+			return werr
+		}
+		return fmt.Errorf("%w: %d errors, %d exhausted, %d dropped (recorded in %s)",
+			err, results.Errors, results.Exhausted, results.Dropped, o.jsonPath)
 	}
 
 	fmt.Printf("dipload: %d requests in %v (%.1f req/s, c=%d), %d errors, %d exhausted, %d retries, %d dropped\n",

@@ -7,7 +7,6 @@ import (
 
 	"dip/internal/bitset"
 	"dip/internal/graph"
-	"dip/internal/hashing"
 	"dip/internal/network"
 	"dip/internal/perm"
 	"dip/internal/wire"
@@ -19,15 +18,18 @@ import (
 // protocol design choice defeats which attack.
 
 // fullMatrixHashes returns h_i(Σ_v [v, N(v)]) and h_i(Σ_v [ρ(v), ρ(N(v))])
-// — the two quantities whose equality the Sym protocols test at the root.
-func fullMatrixHashes(g *graph.Graph, family *hashing.LinearFamily, i *big.Int, rho perm.Perm) (*big.Int, *big.Int) {
-	n := g.N()
-	ha, hb := new(big.Int), new(big.Int)
-	mapped := bitset.New(n)
-	for v := 0; v < n; v++ {
+// — the two quantities whose equality the Sym protocols test at the root —
+// under the seed h was built for.
+func fullMatrixHashes[T any](g *graph.Graph, rho perm.Perm, h rowHasher[T]) (ha, hb T) {
+	mapped := bitset.New(g.N())
+	for v := 0; v < g.N(); v++ {
 		closed := g.ClosedRow(v)
-		ha = family.AddModInto(ha, family.HashRowMatrix(i, n, v, closed))
-		hb = family.AddModInto(hb, family.HashRowMatrix(i, n, rho[v], closed.PermuteInto(mapped, rho)))
+		av, bv := h.hash(v, closed), h.hash(rho[v], closed.PermuteInto(mapped, rho))
+		if v == 0 {
+			ha, hb = av, bv
+			continue
+		}
+		ha, hb = h.add(ha, av), h.add(hb, bv)
 	}
 	return ha, hb
 }
@@ -75,24 +77,23 @@ func (c *symDMAMEchoCheater) Respond(round int, view *network.ProverView) (*netw
 	// Search a budget of indices for a collision. (The difference
 	// polynomial has ≤ n² roots in Z_p, so a small scan often finds one —
 	// which is exactly why the echo must be verified.)
-	var forged *big.Int
-	for candidate := int64(0); candidate < 4096; candidate++ {
-		i := big.NewInt(candidate)
-		ha, hb := fullMatrixHashes(g, s.family, i, c.rho)
-		if ha.Cmp(hb) == 0 {
-			forged = i
+	forged, found := uint64(0), false
+	for candidate := uint64(0); candidate < 4096; candidate++ {
+		ha, hb := fullMatrixHashes(g, c.rho, wordHasher(s.family, s.n, candidate))
+		if ha == hb {
+			forged, found = candidate, true
 			break
 		}
 	}
-	if forged == nil {
+	if !found {
 		// No collision in budget: echo the real challenge and lose.
 		var err error
-		forged, err = decodeBigChallenge(view.Challenges[0][c.root], s.p)
+		forged, err = s.decodeChallenge(view.Challenges[0][c.root])
 		if err != nil {
 			return nil, err
 		}
 	}
-	a, b := subtreeHashSums(g, s.family, forged, c.rho, c.inner.advice)
+	a, b := subtreeHashSums(g, c.rho, c.inner.advice, wordHasher(s.family, s.n, forged))
 	resp := &network.Response{PerNode: make([]wire.Message, s.n)}
 	for v := 0; v < s.n; v++ {
 		resp.PerNode[v] = s.encodeSecond(symDMAMSecond{echo: forged, a: a[v], b: b[v]})
@@ -140,7 +141,7 @@ func (s *SymDAM) PostHocCollisionProver(budget int, rng *rand.Rand) network.Prov
 		}
 		for t := 0; t < budget; t++ {
 			rho := perm.RandomNonIdentity(s.n, rng)
-			ha, hb := fullMatrixHashes(g, s.family, i, rho)
+			ha, hb := fullMatrixHashes(g, rho, bigHasher(s.family, s.n, i))
 			if ha.Cmp(hb) == 0 {
 				return rho, rho.Moved()
 			}

@@ -3,12 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/big"
 	"math/rand"
 
 	"dip/internal/bitset"
 	"dip/internal/graph"
-	"dip/internal/hashing"
 	"dip/internal/network"
 	"dip/internal/prime"
 	"dip/internal/spantree"
@@ -34,12 +32,11 @@ import (
 // automorphism — is verified with the spanning-tree hash aggregation of
 // Protocol 1.
 type DSymDAM struct {
-	side   int // n of Definition 5: vertices per dumbbell side
-	half   int // r of Definition 5: half-length of the connecting path
-	total  int // 2·side + 2·half + 1
-	p      *big.Int
-	family *hashing.LinearFamily
-	sigma  []int
+	side  int // n of Definition 5: vertices per dumbbell side
+	half  int // r of Definition 5: half-length of the connecting path
+	total int // 2·side + 2·half + 1
+	sigma []int
+	wordField
 }
 
 // NewDSymDAM builds the protocol for DSym graphs with parameters
@@ -54,42 +51,37 @@ func NewDSymDAM(side, half int, seed int64) (*DSymDAM, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: DSymDAM modulus: %w", err)
 	}
-	family, err := hashing.NewLinearFamily(total*total, p)
+	f, err := newWordField(total*total, p)
 	if err != nil {
 		return nil, fmt.Errorf("core: DSymDAM family: %w", err)
 	}
 	return &DSymDAM{
-		side:   side,
-		half:   half,
-		total:  total,
-		p:      p,
-		family: family,
-		sigma:  graph.DSymAutomorphism(side, half),
+		side:      side,
+		half:      half,
+		total:     total,
+		sigma:     graph.DSymAutomorphism(side, half),
+		wordField: f,
 	}, nil
 }
 
 // N returns the total number of vertices of a conforming instance.
 func (d *DSymDAM) N() int { return d.total }
 
-// P returns (a copy of) the hash modulus.
-func (d *DSymDAM) P() *big.Int { return new(big.Int).Set(d.p) }
-
-func (d *DSymDAM) idWidth() int   { return wire.WidthFor(d.total) }
-func (d *DSymDAM) hashWidth() int { return wire.WidthForBig(d.p) }
+func (d *DSymDAM) idWidth() int { return wire.WidthFor(d.total) }
 
 type dsymMessage struct {
-	echo *big.Int
+	echo uint64
 	tree spantree.Advice
-	a, b *big.Int
+	a, b uint64
 }
 
 func (d *DSymDAM) encode(m dsymMessage) wire.Message {
 	var w wire.Writer
-	w.WriteBig(m.echo, d.hashWidth())
+	w.WriteUint(m.echo, d.width)
 	w.WriteInt(m.tree.Parent, d.idWidth())
 	w.WriteInt(m.tree.Dist, d.idWidth())
-	w.WriteBig(m.a, d.hashWidth())
-	w.WriteBig(m.b, d.hashWidth())
+	w.WriteUint(m.a, d.width)
+	w.WriteUint(m.b, d.width)
 	return w.Message()
 }
 
@@ -97,7 +89,7 @@ func (d *DSymDAM) decode(m wire.Message) (dsymMessage, error) {
 	r := wire.NewReader(m)
 	var out dsymMessage
 	var err error
-	if out.echo, err = r.ReadBig(d.hashWidth()); err != nil {
+	if out.echo, err = d.read(r); err != nil {
 		return out, err
 	}
 	if out.tree.Parent, err = r.ReadInt(d.idWidth()); err != nil {
@@ -106,19 +98,14 @@ func (d *DSymDAM) decode(m wire.Message) (dsymMessage, error) {
 	if out.tree.Dist, err = r.ReadInt(d.idWidth()); err != nil {
 		return out, err
 	}
-	if out.a, err = r.ReadBig(d.hashWidth()); err != nil {
+	if out.a, err = d.read(r); err != nil {
 		return out, err
 	}
-	if out.b, err = r.ReadBig(d.hashWidth()); err != nil {
+	if out.b, err = d.read(r); err != nil {
 		return out, err
 	}
 	if out.tree.Parent >= d.total {
 		return out, errors.New("core: parent id out of range")
-	}
-	for _, x := range []*big.Int{out.echo, out.a, out.b} {
-		if x.Cmp(d.p) >= 0 {
-			return out, errors.New("core: field value out of range")
-		}
 	}
 	out.tree.Root = 0
 	return out, r.Done()
@@ -204,7 +191,7 @@ func (d *DSymDAM) Spec() *network.Spec {
 		Name: "dsym-dam",
 		Rounds: []network.Round{
 			{Kind: network.Arthur, Challenge: func(_ int, rng *rand.Rand, _ *network.NodeView) wire.Message {
-				return bigChallenge(rng, d.p)
+				return d.challenge(rng)
 			}},
 			{Kind: network.Merlin},
 		},
@@ -225,26 +212,24 @@ func (d *DSymDAM) decide(v int, view *network.NodeView) bool {
 	if err != nil {
 		return false
 	}
-	neighborMsgs := make(map[int]dsymMessage, len(view.Neighbors))
-	for _, u := range view.Neighbors {
+	// Position j holds the message of view.Neighbors[j].
+	neighborMsgs := make([]dsymMessage, len(view.Neighbors))
+	neighborTree := make([]spantree.Advice, len(view.Neighbors))
+	for j, u := range view.Neighbors {
 		nm, err := d.decode(view.NeighborResponses[0][u])
 		if err != nil {
 			return false
 		}
-		if nm.echo.Cmp(msg.echo) != 0 {
+		if nm.echo != msg.echo {
 			return false
 		}
-		neighborMsgs[u] = nm
+		neighborMsgs[j], neighborTree[j] = nm, nm.tree
 	}
 
-	treeAdvice := make(map[int]spantree.Advice, len(neighborMsgs))
-	for u, nm := range neighborMsgs {
-		treeAdvice[u] = nm.tree
-	}
-	if !spantree.VerifyLocal(v, msg.tree, treeAdvice, view.HasNeighbor) {
+	if !spantree.VerifyLocal(v, msg.tree, view.Neighbors, neighborTree) {
 		return false
 	}
-	children := spantree.Children(v, treeAdvice)
+	children := spantree.Children(v, neighborTree)
 	i := msg.echo
 
 	closed := bitset.New(d.total)
@@ -252,29 +237,29 @@ func (d *DSymDAM) decide(v int, view *network.NodeView) bool {
 	for _, u := range view.Neighbors {
 		closed.Add(u)
 	}
-	aExpect := d.family.HashRowMatrix(i, d.total, v, closed)
-	for _, u := range children {
-		aExpect = d.family.AddModInto(aExpect, neighborMsgs[u].a)
+	aExpect := d.family.HashRowMatrix64(i, d.total, v, closed)
+	for _, j := range children {
+		aExpect = d.family.AddMod64(aExpect, neighborMsgs[j].a)
 	}
-	if aExpect.Cmp(msg.a) != 0 {
+	if aExpect != msg.a {
 		return false
 	}
 
 	mappedRow := closed.Permute(d.sigma)
-	bExpect := d.family.HashRowMatrix(i, d.total, d.sigma[v], mappedRow)
-	for _, u := range children {
-		bExpect = d.family.AddModInto(bExpect, neighborMsgs[u].b)
+	bExpect := d.family.HashRowMatrix64(i, d.total, d.sigma[v], mappedRow)
+	for _, j := range children {
+		bExpect = d.family.AddMod64(bExpect, neighborMsgs[j].b)
 	}
-	if bExpect.Cmp(msg.b) != 0 {
+	if bExpect != msg.b {
 		return false
 	}
 
 	if v == 0 { // root checks; σ(0) = side ≠ 0 by construction
-		if msg.a.Cmp(msg.b) != 0 {
+		if msg.a != msg.b {
 			return false
 		}
-		iv, err := decodeBigChallenge(view.MyChallenges[0], d.p)
-		if err != nil || iv.Cmp(i) != 0 {
+		iv, err := d.decodeChallenge(view.MyChallenges[0])
+		if err != nil || iv != i {
 			return false
 		}
 	}
@@ -309,7 +294,7 @@ func (p *dsymProver) Respond(round int, view *network.ProverView) (*network.Resp
 	if g.N() != d.total {
 		return nil, fmt.Errorf("core: graph has %d vertices, protocol built for %d", g.N(), d.total)
 	}
-	i, err := decodeBigChallenge(view.Challenges[0][0], d.p)
+	i, err := d.decodeChallenge(view.Challenges[0][0])
 	if err != nil {
 		return nil, fmt.Errorf("core: DSym prover challenge: %w", err)
 	}
@@ -317,9 +302,9 @@ func (p *dsymProver) Respond(round int, view *network.ProverView) (*network.Resp
 	if err != nil {
 		return nil, fmt.Errorf("core: DSym prover tree: %w", err)
 	}
-	a, b := subtreeHashSums(g, d.family, i, d.sigma, advice)
+	a, b := subtreeHashSums(g, d.sigma, advice, wordHasher(d.family, d.total, i))
 	if p.forge {
-		a[p.forgeAt] = new(big.Int).Mod(new(big.Int).Add(a[p.forgeAt], big.NewInt(1)), d.p)
+		a[p.forgeAt] = d.family.AddMod64(a[p.forgeAt], 1)
 	}
 	resp := &network.Response{PerNode: make([]wire.Message, d.total)}
 	for v := 0; v < d.total; v++ {

@@ -223,8 +223,8 @@ func (g *GNIDAM) decide(v int, view *network.NodeView) bool {
 	if err != nil {
 		return false
 	}
-	neighborMsgs := make(map[int]gniDamMessage, len(view.Neighbors))
-	for _, u := range view.Neighbors {
+	neighborMsgs := make([]gniDamMessage, len(view.Neighbors))
+	for j, u := range view.Neighbors {
 		nm, err := g.decode(view.NeighborResponses[0][u])
 		if err != nil {
 			return false
@@ -232,14 +232,14 @@ func (g *GNIDAM) decide(v int, view *network.NodeView) bool {
 		if !sameGNIDamBroadcast(msg, nm) {
 			return false
 		}
-		neighborMsgs[u] = nm
+		neighborMsgs[j] = nm
 	}
 
-	treeAdvice := make(map[int]spantree.Advice, len(neighborMsgs))
-	for u, nm := range neighborMsgs {
-		treeAdvice[u] = nm.tree
+	treeAdvice := make([]spantree.Advice, len(neighborMsgs))
+	for j, nm := range neighborMsgs {
+		treeAdvice[j] = nm.tree
 	}
-	if !spantree.VerifyLocal(v, msg.tree, treeAdvice, view.HasNeighbor) {
+	if !spantree.VerifyLocal(v, msg.tree, view.Neighbors, treeAdvice) {
 		return false
 	}
 	children := spantree.Children(v, treeAdvice)
@@ -286,8 +286,8 @@ func (g *GNIDAM) decide(v int, view *network.NodeView) bool {
 			cols[j] = rep.sigma[u]
 		}
 		cExpect := g.params.RowTermSlow(seed.Alpha, rep.sigma[v], cols)
-		for _, u := range children {
-			cExpect = g.params.AddModQ(cExpect, neighborMsgs[u].sums[si])
+		for _, j := range children {
+			cExpect = g.params.AddModQ(cExpect, neighborMsgs[j].sums[si])
 		}
 		if cExpect.Cmp(msg.sums[si]) != 0 {
 			return false

@@ -435,8 +435,8 @@ func (g *GNIDAMAM) decide(v int, view *network.NodeView) bool {
 	first := prefix
 
 	// Neighbors' M₁: broadcast sections must match ours.
-	neighborFirst := make(map[int]gniFirst, len(view.Neighbors))
-	for _, u := range view.Neighbors {
+	neighborFirst := make([]gniFirst, len(view.Neighbors))
+	for j, u := range view.Neighbors {
 		nf, err := g.decodeFirst(view.NeighborResponses[0][u], nil)
 		if err != nil {
 			return false
@@ -444,7 +444,7 @@ func (g *GNIDAMAM) decide(v int, view *network.NodeView) bool {
 		if !sameClaims(first.reps, nf.reps) {
 			return false
 		}
-		neighborFirst[u] = nf
+		neighborFirst[j] = nf
 	}
 
 	// Verify our own seed slices inside each successful repetition's echo.
@@ -486,11 +486,11 @@ func (g *GNIDAMAM) decide(v int, view *network.NodeView) bool {
 	successes := repIdx
 
 	// Spanning-tree checks (root is node 0 by convention).
-	treeAdvice := make(map[int]spantree.Advice, len(neighborFirst))
-	for u, nf := range neighborFirst {
-		treeAdvice[u] = nf.tree
+	treeAdvice := make([]spantree.Advice, len(neighborFirst))
+	for j, nf := range neighborFirst {
+		treeAdvice[j] = nf.tree
 	}
-	if !spantree.VerifyLocal(v, first.tree, treeAdvice, view.HasNeighbor) {
+	if !spantree.VerifyLocal(v, first.tree, view.Neighbors, treeAdvice) {
 		return false
 	}
 	children := spantree.Children(v, treeAdvice)
@@ -500,8 +500,8 @@ func (g *GNIDAMAM) decide(v int, view *network.NodeView) bool {
 	if err != nil {
 		return false
 	}
-	neighborSecond := make(map[int]gniSecond, len(view.Neighbors))
-	for _, u := range view.Neighbors {
+	neighborSecond := make([]gniSecond, len(view.Neighbors))
+	for j, u := range view.Neighbors {
 		ns, err := g.decodeSecond(view.NeighborResponses[1][u], successes)
 		if err != nil {
 			return false
@@ -509,7 +509,7 @@ func (g *GNIDAMAM) decide(v int, view *network.NodeView) bool {
 		if ns.zEcho.Cmp(second.zEcho) != 0 {
 			return false
 		}
-		neighborSecond[u] = ns
+		neighborSecond[j] = ns
 	}
 	z := second.zEcho
 	if v == 0 {
@@ -541,8 +541,8 @@ func (g *GNIDAMAM) decide(v int, view *network.NodeView) bool {
 
 		// c: partial hash sum.
 		cExpect := g.params.RowTermSlow(rd.seed.Alpha, sigmaV, images)
-		for _, u := range children {
-			cExpect = g.params.AddModQ(cExpect, neighborSecond[u].sums[si].c)
+		for _, j := range children {
+			cExpect = g.params.AddModQ(cExpect, neighborSecond[j].sums[si].c)
 		}
 		if cExpect.Cmp(second.sums[si].c) != 0 {
 			return false
@@ -559,8 +559,8 @@ func (g *GNIDAMAM) decide(v int, view *network.NodeView) bool {
 		s2.Mul(s2, big.NewInt(int64(len(closed))))
 		s2.Mod(s2, g.p2)
 		s3 := expMod(z, sigmaV+1, g.p2)
-		for _, u := range children {
-			ns := neighborSecond[u].sums[si]
+		for _, j := range children {
+			ns := neighborSecond[j].sums[si]
 			s1.Add(s1, ns.s1)
 			s2.Add(s2, ns.s2)
 			s3.Add(s3, ns.s3)

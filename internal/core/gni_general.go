@@ -332,8 +332,8 @@ func (g *GNIGeneral) decide(v int, view *network.NodeView) bool {
 	if err != nil {
 		return false
 	}
-	neighborMsgs := make(map[int]gniGenMessage, len(view.Neighbors))
-	for _, u := range view.Neighbors {
+	neighborMsgs := make([]gniGenMessage, len(view.Neighbors))
+	for j, u := range view.Neighbors {
 		nm, err := g.decode(view.NeighborResponses[0][u])
 		if err != nil {
 			return false
@@ -341,14 +341,14 @@ func (g *GNIGeneral) decide(v int, view *network.NodeView) bool {
 		if !sameGNIGenBroadcast(msg, nm) {
 			return false
 		}
-		neighborMsgs[u] = nm
+		neighborMsgs[j] = nm
 	}
 
-	treeAdvice := make(map[int]spantree.Advice, len(neighborMsgs))
-	for u, nm := range neighborMsgs {
-		treeAdvice[u] = nm.tree
+	treeAdvice := make([]spantree.Advice, len(neighborMsgs))
+	for j, nm := range neighborMsgs {
+		treeAdvice[j] = nm.tree
 	}
-	if !spantree.VerifyLocal(v, msg.tree, treeAdvice, view.HasNeighbor) {
+	if !spantree.VerifyLocal(v, msg.tree, view.Neighbors, treeAdvice) {
 		return false
 	}
 	children := spantree.Children(v, treeAdvice)
@@ -404,8 +404,8 @@ func (g *GNIGeneral) decide(v int, view *network.NodeView) bool {
 		// τ block: row n + σ(v), single column τ(σ(v)).
 		cExpect = g.params.AddModQ(cExpect,
 			g.params.RowTermSlow(seed.Alpha, g.n+sigmaV, []int{rep.tau[sigmaV]}))
-		for _, u := range children {
-			cExpect = g.params.AddModQ(cExpect, neighborMsgs[u].c[si])
+		for _, j := range children {
+			cExpect = g.params.AddModQ(cExpect, neighborMsgs[j].c[si])
 		}
 		if cExpect.Cmp(msg.c[si]) != 0 {
 			return false
@@ -419,9 +419,9 @@ func (g *GNIGeneral) decide(v int, view *network.NodeView) bool {
 			tauCols[j] = rep.tau[c]
 		}
 		eExpect := g.h3Row(alpha3, rep.tau[sigmaV], tauCols)
-		for _, u := range children {
-			dExpect.Add(dExpect, neighborMsgs[u].d[si])
-			eExpect.Add(eExpect, neighborMsgs[u].e[si])
+		for _, j := range children {
+			dExpect.Add(dExpect, neighborMsgs[j].d[si])
+			eExpect.Add(eExpect, neighborMsgs[j].e[si])
 		}
 		dExpect.Mod(dExpect, g.q3)
 		eExpect.Mod(eExpect, g.q3)

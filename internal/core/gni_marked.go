@@ -401,8 +401,8 @@ func (g *MarkedGNI) decide(v int, view *network.NodeView) bool {
 	if err != nil {
 		return false
 	}
-	neighborFirst := make(map[int]markedFirst, len(view.Neighbors))
-	for _, u := range view.Neighbors {
+	neighborFirst := make([]markedFirst, len(view.Neighbors))
+	for j, u := range view.Neighbors {
 		// A neighbor's claims section is sized by its own degree, which v
 		// does not know; decodeFirstPrefix parses everything else (the
 		// broadcast section and the fixed-width head and tail fields).
@@ -413,7 +413,7 @@ func (g *MarkedGNI) decide(v int, view *network.NodeView) bool {
 		if !sameMarkedBroadcast(first, nf) {
 			return false
 		}
-		neighborFirst[u] = nf
+		neighborFirst[j] = nf
 	}
 
 	// Truthful self-fields: each node verifies its own mark echo, so a
@@ -428,9 +428,9 @@ func (g *MarkedGNI) decide(v int, view *network.NodeView) bool {
 	// self-reported mark and (for marked u) rank. Combined with u's own
 	// mark echo and the rank-multiset certification below, every claim is
 	// bound to the claimee's true mark and a bijective rank assignment.
-	for i, u := range view.Neighbors {
+	for i := range view.Neighbors {
 		cl := first.claims[i]
-		nf := neighborFirst[u]
+		nf := neighborFirst[i]
 		if cl.mark != nf.ownMark {
 			return false
 		}
@@ -439,11 +439,11 @@ func (g *MarkedGNI) decide(v int, view *network.NodeView) bool {
 		}
 	}
 
-	treeAdvice := make(map[int]spantree.Advice, len(neighborFirst))
-	for u, nf := range neighborFirst {
-		treeAdvice[u] = nf.tree
+	treeAdvice := make([]spantree.Advice, len(neighborFirst))
+	for j, nf := range neighborFirst {
+		treeAdvice[j] = nf.tree
 	}
-	if !spantree.VerifyLocal(v, first.tree, treeAdvice, view.HasNeighbor) {
+	if !spantree.VerifyLocal(v, first.tree, view.Neighbors, treeAdvice) {
 		return false
 	}
 	children := spantree.Children(v, treeAdvice)
@@ -456,9 +456,9 @@ func (g *MarkedGNI) decide(v int, view *network.NodeView) bool {
 	if myMark == MarkOne {
 		c1 = 1
 	}
-	for _, u := range children {
-		c0 += neighborFirst[u].c0
-		c1 += neighborFirst[u].c1
+	for _, j := range children {
+		c0 += neighborFirst[j].c0
+		c1 += neighborFirst[j].c1
 	}
 	if c0 != first.c0 || c1 != first.c1 {
 		return false
@@ -477,8 +477,8 @@ func (g *MarkedGNI) decide(v int, view *network.NodeView) bool {
 	if err != nil {
 		return false
 	}
-	neighborSecond := make(map[int]markedSecond, len(view.Neighbors))
-	for _, u := range view.Neighbors {
+	neighborSecond := make([]markedSecond, len(view.Neighbors))
+	for j, u := range view.Neighbors {
 		ns, err := g.decodeSecond(view.NeighborResponses[1][u])
 		if err != nil {
 			return false
@@ -486,7 +486,7 @@ func (g *MarkedGNI) decide(v int, view *network.NodeView) bool {
 		if ns.zEcho.Cmp(second.zEcho) != 0 {
 			return false
 		}
-		neighborSecond[u] = ns
+		neighborSecond[j] = ns
 	}
 	z := second.zEcho
 	if v == 0 {
@@ -502,9 +502,9 @@ func (g *MarkedGNI) decide(v int, view *network.NodeView) bool {
 	if myMark == MarkOne {
 		m1 = expMod(z, first.rank+1, g.p2)
 	}
-	for _, u := range children {
-		m0.Add(m0, neighborSecond[u].m0)
-		m1.Add(m1, neighborSecond[u].m1)
+	for _, j := range children {
+		m0.Add(m0, neighborSecond[j].m0)
+		m1.Add(m1, neighborSecond[j].m1)
 	}
 	m0.Mod(m0, g.p2)
 	m1.Mod(m1, g.p2)
@@ -563,8 +563,8 @@ func (g *MarkedGNI) decide(v int, view *network.NodeView) bool {
 			contrib = g.params.RowTermSlow(seed.Alpha, rep.sigma[first.rank], cols)
 		}
 		cExpect := contrib
-		for _, u := range children {
-			cExpect = g.params.AddModQ(cExpect, neighborFirst[u].sums[si])
+		for _, j := range children {
+			cExpect = g.params.AddModQ(cExpect, neighborFirst[j].sums[si])
 		}
 		if cExpect.Cmp(first.sums[si]) != 0 {
 			return false

@@ -348,15 +348,15 @@ func (s *SpanTreeLCP) Spec() *network.Spec {
 			if err != nil {
 				return false
 			}
-			neighbors := make(map[int]spantree.Advice, len(view.Neighbors))
-			for _, u := range view.Neighbors {
+			neighbors := make([]spantree.Advice, len(view.Neighbors))
+			for j, u := range view.Neighbors {
 				na, err := spantree.Decode(wire.NewReader(view.NeighborResponses[0][u]), s.n)
 				if err != nil {
 					return false
 				}
-				neighbors[u] = na
+				neighbors[j] = na
 			}
-			return spantree.VerifyLocal(v, mine, neighbors, view.HasNeighbor)
+			return spantree.VerifyLocal(v, mine, view.Neighbors, neighbors)
 		},
 	}
 }

@@ -13,10 +13,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
 	"math/rand"
 
+	"dip/internal/hashing"
 	"dip/internal/wire"
 )
 
@@ -66,4 +68,66 @@ func decodeBigChallenge(m wire.Message, modulus *big.Int) (*big.Int, error) {
 		return nil, fmt.Errorf("core: challenge %v out of range", v)
 	}
 	return v, nil
+}
+
+// wordField is the hash modulus of a cubic-window protocol (sym-dmam,
+// dsym-dam, sym-rpls): a prime p ≤ 100n³, which fits one machine word, with
+// its linear family. These protocols carry every residue — challenge, echo,
+// subtree sum, fingerprint — as a uint64 from the draw through the wire
+// codec into their message structs; sym-dam's power-window modulus and the
+// GNI fields stay *big.Int.
+type wordField struct {
+	p      uint64
+	width  int // ⌈log₂ p⌉: the bits of one residue on the wire
+	family *hashing.LinearFamily
+}
+
+// newWordField builds the family of dimension m over p, refusing a modulus
+// wider than one word.
+func newWordField(m int, p *big.Int) (wordField, error) {
+	family, err := hashing.NewLinearFamily(m, p)
+	if err != nil {
+		return wordField{}, err
+	}
+	if !family.OneWord() {
+		return wordField{}, fmt.Errorf("modulus %v exceeds one machine word", p)
+	}
+	return wordField{p: p.Uint64(), width: wire.WidthForBig(p), family: family}, nil
+}
+
+// P returns the modulus as a new big.Int.
+func (f wordField) P() *big.Int { return new(big.Int).SetUint64(f.p) }
+
+var errResidueRange = errors.New("core: field value out of range")
+
+// read decodes one residue written in f.width bits and refuses a value
+// outside [0, p).
+func (f wordField) read(r *wire.Reader) (uint64, error) {
+	v, err := r.ReadUint(f.width)
+	if err != nil {
+		return 0, err
+	}
+	if v >= f.p {
+		return 0, errResidueRange
+	}
+	return v, nil
+}
+
+// challenge is bigChallenge for a one-word modulus: RandomSeed64 consumes
+// rng as big.Int.Rand does, so the message is bit-identical.
+func (f wordField) challenge(rng *rand.Rand) wire.Message {
+	var w wire.Writer
+	w.WriteUint(f.family.RandomSeed64(rng), f.width)
+	return w.Message()
+}
+
+// decodeChallenge parses a challenge produced by challenge; it fails if
+// the message has the wrong length or the value is outside [0, p).
+func (f wordField) decodeChallenge(m wire.Message) (uint64, error) {
+	r := wire.NewReader(m)
+	v, err := f.read(r)
+	if err != nil {
+		return 0, err
+	}
+	return v, r.Done()
 }

@@ -3,11 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/big"
 	"math/rand"
 
 	"dip/internal/graph"
-	"dip/internal/hashing"
 	"dip/internal/network"
 	"dip/internal/perm"
 	"dip/internal/prime"
@@ -31,10 +29,9 @@ import (
 // the prover-to-node communication too — which RPLS cannot reduce, and
 // Protocol 1 does.
 type SymRPLS struct {
-	n      int
-	p      *big.Int
-	family *hashing.LinearFamily // over advice-length bit vectors
-	lcp    *SymLCP               // reuses SymLCP's advice codec and checks
+	n         int
+	lcp       *SymLCP // reuses SymLCP's advice codec and checks
+	wordField         // family over advice-length bit vectors
 }
 
 // NewSymRPLS builds the scheme for graphs on n ≥ 2 vertices.
@@ -49,11 +46,11 @@ func NewSymRPLS(n int, seed int64) (*SymRPLS, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: SymRPLS modulus: %w", err)
 	}
-	family, err := hashing.NewLinearFamily(lcp.AdviceBits(), p)
+	f, err := newWordField(lcp.AdviceBits(), p)
 	if err != nil {
 		return nil, fmt.Errorf("core: SymRPLS family: %w", err)
 	}
-	return &SymRPLS{n: n, p: p, family: family, lcp: lcp}, nil
+	return &SymRPLS{n: n, lcp: lcp, wordField: f}, nil
 }
 
 // AdviceBits returns the advice length (identical to SymLCP's — the Θ(n²)
@@ -62,7 +59,7 @@ func (s *SymRPLS) AdviceBits() int { return s.lcp.AdviceBits() }
 
 // FingerprintBits returns the per-neighbor verification message length:
 // a hash seed and a hash value, 2·⌈lg p⌉ = O(log n) bits.
-func (s *SymRPLS) FingerprintBits() int { return 2 * wire.WidthForBig(s.p) }
+func (s *SymRPLS) FingerprintBits() int { return 2 * s.width }
 
 // adviceCoords converts an advice message into the indicator-coordinate
 // form the linear family hashes (the positions of its one-bits).
@@ -79,12 +76,11 @@ func adviceCoords(m wire.Message) []int {
 // digest produces node v's fingerprint message: a fresh random seed and
 // the advice hashed under it.
 func (s *SymRPLS) digest(rng *rand.Rand, m wire.Message) wire.Message {
-	seed := s.family.RandomSeed(rng)
-	fp := s.family.HashIndicator(seed, adviceCoords(m))
+	seed := s.family.RandomSeed64(rng)
+	fp := s.family.HashIndicator64(seed, adviceCoords(m))
 	var w wire.Writer
-	width := wire.WidthForBig(s.p)
-	w.WriteBig(seed, width)
-	w.WriteBig(fp, width)
+	w.WriteUint(seed, s.width)
+	w.WriteUint(fp, s.width)
 	return w.Message()
 }
 
@@ -113,23 +109,21 @@ func (s *SymRPLS) decide(v int, view *network.NodeView) bool {
 	}
 	// Neighbor agreement via fingerprints: evaluate each neighbor's seed
 	// on OUR advice and compare with the neighbor's fingerprint of theirs.
-	width := wire.WidthForBig(s.p)
 	coords := adviceCoords(advice)
 	for _, u := range view.Neighbors {
 		r := wire.NewReader(view.NeighborResponses[0][u])
-		seed, err := r.ReadBig(width)
-		if err != nil || seed.Cmp(s.p) >= 0 {
+		seed, err := s.read(r)
+		if err != nil {
 			return false
 		}
-		fp, err := r.ReadBig(width)
-		if err != nil || fp.Cmp(s.p) >= 0 {
+		fp, err := s.read(r)
+		if err != nil {
 			return false
 		}
 		if err := r.Done(); err != nil {
 			return false
 		}
-		mine := s.family.HashIndicator(seed, coords)
-		if mine.Cmp(fp) != 0 {
+		if s.family.HashIndicator64(seed, coords) != fp {
 			return false
 		}
 	}

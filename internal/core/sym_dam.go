@@ -181,8 +181,10 @@ func (s *SymDAM) decide(v int, view *network.NodeView) bool {
 	if err != nil {
 		return false
 	}
-	neighborMsgs := make(map[int]symDAMMessage, len(view.Neighbors))
-	for _, u := range view.Neighbors {
+	// Position j holds the message of view.Neighbors[j].
+	neighborMsgs := make([]symDAMMessage, len(view.Neighbors))
+	neighborTree := make([]spantree.Advice, len(view.Neighbors))
+	for j, u := range view.Neighbors {
 		nm, err := s.decode(view.NeighborResponses[0][u])
 		if err != nil {
 			return false
@@ -190,18 +192,14 @@ func (s *SymDAM) decide(v int, view *network.NodeView) bool {
 		if !sameBroadcast(msg, nm) {
 			return false
 		}
-		neighborMsgs[u] = nm
+		neighborMsgs[j], neighborTree[j] = nm, nm.tree
 	}
 
 	// Line 1: spanning-tree checks.
-	treeAdvice := make(map[int]spantree.Advice, len(neighborMsgs))
-	for u, nm := range neighborMsgs {
-		treeAdvice[u] = nm.tree
-	}
-	if !spantree.VerifyLocal(v, msg.tree, treeAdvice, view.HasNeighbor) {
+	if !spantree.VerifyLocal(v, msg.tree, view.Neighbors, neighborTree) {
 		return false
 	}
-	children := spantree.Children(v, treeAdvice)
+	children := spantree.Children(v, neighborTree)
 	i := msg.echo
 
 	// Line 3a: a_v = h_i([v, N(v)]) + Σ_{u∈C(v)} a_u.
@@ -211,8 +209,8 @@ func (s *SymDAM) decide(v int, view *network.NodeView) bool {
 		closed.Add(u)
 	}
 	aExpect := s.family.HashRowMatrix(i, s.n, v, closed)
-	for _, u := range children {
-		aExpect = s.family.AddModInto(aExpect, neighborMsgs[u].a)
+	for _, j := range children {
+		aExpect = s.family.AddModInto(aExpect, neighborMsgs[j].a)
 	}
 	if aExpect.Cmp(msg.a) != 0 {
 		return false
@@ -222,8 +220,8 @@ func (s *SymDAM) decide(v int, view *network.NodeView) bool {
 	// from the broadcast (so no first-round commitment is needed).
 	mappedRow := closed.Permute(msg.rho)
 	bExpect := s.family.HashRowMatrix(i, s.n, msg.rho[v], mappedRow)
-	for _, u := range children {
-		bExpect = s.family.AddModInto(bExpect, neighborMsgs[u].b)
+	for _, j := range children {
+		bExpect = s.family.AddModInto(bExpect, neighborMsgs[j].b)
 	}
 	if bExpect.Cmp(msg.b) != 0 {
 		return false
@@ -315,7 +313,7 @@ func (p *symDAMProver) Respond(round int, view *network.ProverView) (*network.Re
 	if err != nil {
 		return nil, fmt.Errorf("core: SymDAM prover tree: %w", err)
 	}
-	a, b := subtreeHashSums(g, s.family, i, rho, advice)
+	a, b := subtreeHashSums(g, rho, advice, bigHasher(s.family, s.n, i))
 
 	resp := &network.Response{PerNode: make([]wire.Message, s.n)}
 	for v := 0; v < s.n; v++ {

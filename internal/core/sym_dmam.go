@@ -33,9 +33,8 @@ import (
 // ablation experiment E9 — is that the prover commits to ρ before seeing
 // the random hash index.
 type SymDMAM struct {
-	n      int
-	p      *big.Int
-	family *hashing.LinearFamily
+	n int
+	wordField
 }
 
 // NewSymDMAM builds the protocol for graphs on n ≥ 2 vertices, deriving the
@@ -48,24 +47,18 @@ func NewSymDMAM(n int, seed int64) (*SymDMAM, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: SymDMAM modulus: %w", err)
 	}
-	family, err := hashing.NewLinearFamily(n*n, p)
+	f, err := newWordField(n*n, p)
 	if err != nil {
 		return nil, fmt.Errorf("core: SymDMAM family: %w", err)
 	}
-	return &SymDMAM{n: n, p: p, family: family}, nil
+	return &SymDMAM{n: n, wordField: f}, nil
 }
 
 // N returns the number of vertices the protocol instance is for.
 func (s *SymDMAM) N() int { return s.n }
 
-// P returns (a copy of) the hash modulus.
-func (s *SymDMAM) P() *big.Int { return new(big.Int).Set(s.p) }
-
 // idWidth is the bit width of a vertex identifier.
 func (s *SymDMAM) idWidth() int { return wire.WidthFor(s.n) }
-
-// hashWidth is the bit width of a hash index or hash value.
-func (s *SymDMAM) hashWidth() int { return wire.WidthForBig(s.p) }
 
 // firstMessage is the decoded first Merlin message.
 type symDMAMFirst struct {
@@ -108,15 +101,15 @@ func (s *SymDMAM) decodeFirst(m wire.Message) (symDMAMFirst, error) {
 
 // secondMessage is the decoded second Merlin message.
 type symDMAMSecond struct {
-	echo *big.Int // claimed hash index chosen by the root
-	a, b *big.Int
+	echo uint64 // claimed hash index chosen by the root
+	a, b uint64
 }
 
 func (s *SymDMAM) encodeSecond(m symDMAMSecond) wire.Message {
 	var w wire.Writer
-	w.WriteBig(m.echo, s.hashWidth())
-	w.WriteBig(m.a, s.hashWidth())
-	w.WriteBig(m.b, s.hashWidth())
+	w.WriteUint(m.echo, s.width)
+	w.WriteUint(m.a, s.width)
+	w.WriteUint(m.b, s.width)
 	return w.Message()
 }
 
@@ -124,21 +117,23 @@ func (s *SymDMAM) decodeSecond(m wire.Message) (symDMAMSecond, error) {
 	r := wire.NewReader(m)
 	var out symDMAMSecond
 	var err error
-	if out.echo, err = r.ReadBig(s.hashWidth()); err != nil {
+	if out.echo, err = s.read(r); err != nil {
 		return out, err
 	}
-	if out.a, err = r.ReadBig(s.hashWidth()); err != nil {
+	if out.a, err = s.read(r); err != nil {
 		return out, err
 	}
-	if out.b, err = r.ReadBig(s.hashWidth()); err != nil {
+	if out.b, err = s.read(r); err != nil {
 		return out, err
-	}
-	for _, v := range []*big.Int{out.echo, out.a, out.b} {
-		if v.Cmp(s.p) >= 0 {
-			return out, errors.New("core: hash value out of range")
-		}
 	}
 	return out, r.Done()
+}
+
+// symDMAMNeighbor is what decide keeps of a neighbor's two messages once
+// their broadcast fields (root, echo) have been checked.
+type symDMAMNeighbor struct {
+	rho  int
+	a, b uint64
 }
 
 // Spec returns the protocol's round schedule and verifier.
@@ -148,7 +143,7 @@ func (s *SymDMAM) Spec() *network.Spec {
 		Rounds: []network.Round{
 			{Kind: network.Merlin},
 			{Kind: network.Arthur, Challenge: func(_ int, rng *rand.Rand, _ *network.NodeView) wire.Message {
-				return bigChallenge(rng, s.p)
+				return s.challenge(rng)
 			}},
 			{Kind: network.Merlin},
 		},
@@ -172,9 +167,10 @@ func (s *SymDMAM) decide(v int, view *network.NodeView) bool {
 
 	// Neighbor copies of both rounds, with broadcast-field checks: all
 	// nodes must have received the same root and the same echoed index.
-	neighborFirst := make(map[int]symDMAMFirst, len(view.Neighbors))
-	neighborSecond := make(map[int]symDMAMSecond, len(view.Neighbors))
-	for _, u := range view.Neighbors {
+	// Position j holds the messages of view.Neighbors[j].
+	neighborTree := make([]spantree.Advice, len(view.Neighbors))
+	neighbors := make([]symDMAMNeighbor, len(view.Neighbors))
+	for j, u := range view.Neighbors {
 		nf, err := s.decodeFirst(view.NeighborResponses[0][u])
 		if err != nil {
 			return false
@@ -182,28 +178,24 @@ func (s *SymDMAM) decide(v int, view *network.NodeView) bool {
 		if nf.root != first.root {
 			return false
 		}
-		neighborFirst[u] = nf
 		ns, err := s.decodeSecond(view.NeighborResponses[1][u])
 		if err != nil {
 			return false
 		}
-		if ns.echo.Cmp(second.echo) != 0 {
+		if ns.echo != second.echo {
 			return false
 		}
-		neighborSecond[u] = ns
+		neighborTree[j] = nf.tree
+		neighbors[j] = symDMAMNeighbor{rho: nf.rho, a: ns.a, b: ns.b}
 	}
 
 	// Line 1: spanning-tree checks.
-	treeAdvice := make(map[int]spantree.Advice, len(neighborFirst))
-	for u, nf := range neighborFirst {
-		treeAdvice[u] = nf.tree
-	}
-	if !spantree.VerifyLocal(v, first.tree, treeAdvice, view.HasNeighbor) {
+	if !spantree.VerifyLocal(v, first.tree, view.Neighbors, neighborTree) {
 		return false
 	}
 
 	// Line 2: C(v) = {u ∈ N(v) : t_u = v}.
-	children := spantree.Children(v, treeAdvice)
+	children := spantree.Children(v, neighborTree)
 
 	i := second.echo
 
@@ -213,11 +205,11 @@ func (s *SymDMAM) decide(v int, view *network.NodeView) bool {
 	for _, u := range view.Neighbors {
 		closed.Add(u)
 	}
-	aExpect := s.family.HashRowMatrix(i, s.n, v, closed)
-	for _, u := range children {
-		aExpect = s.family.AddModInto(aExpect, neighborSecond[u].a)
+	aExpect := s.family.HashRowMatrix64(i, s.n, v, closed)
+	for _, j := range children {
+		aExpect = s.family.AddMod64(aExpect, neighbors[j].a)
 	}
-	if aExpect.Cmp(second.a) != 0 {
+	if aExpect != second.a {
 		return false
 	}
 
@@ -227,27 +219,27 @@ func (s *SymDMAM) decide(v int, view *network.NodeView) bool {
 	mappedRow := closed // closed is dead past line 3a; reuse its storage
 	mappedRow.Clear()
 	mappedRow.Add(first.rho)
-	for _, nf := range neighborFirst {
-		mappedRow.Add(nf.rho)
+	for _, nb := range neighbors {
+		mappedRow.Add(nb.rho)
 	}
-	bExpect := s.family.HashRowMatrix(i, s.n, first.rho, mappedRow)
-	for _, u := range children {
-		bExpect = s.family.AddModInto(bExpect, neighborSecond[u].b)
+	bExpect := s.family.HashRowMatrix64(i, s.n, first.rho, mappedRow)
+	for _, j := range children {
+		bExpect = s.family.AddMod64(bExpect, neighbors[j].b)
 	}
-	if bExpect.Cmp(second.b) != 0 {
+	if bExpect != second.b {
 		return false
 	}
 
 	// Line 4: root-only checks.
 	if v == first.root {
-		if second.a.Cmp(second.b) != 0 {
+		if second.a != second.b {
 			return false
 		}
 		if first.rho == v {
 			return false // claimed automorphism must move the root
 		}
-		iv, err := decodeBigChallenge(view.MyChallenges[0], s.p)
-		if err != nil || iv.Cmp(i) != 0 {
+		iv, err := s.decodeChallenge(view.MyChallenges[0])
+		if err != nil || iv != i {
 			return false
 		}
 	}
@@ -339,17 +331,41 @@ func (p *symDMAMProver) first(view *network.ProverView) (*network.Response, erro
 
 func (p *symDMAMProver) second(view *network.ProverView) (*network.Response, error) {
 	s := p.proto
-	i, err := decodeBigChallenge(view.Challenges[0][p.root], s.p)
+	i, err := s.decodeChallenge(view.Challenges[0][p.root])
 	if err != nil {
 		return nil, fmt.Errorf("core: SymDMAM prover challenge: %w", err)
 	}
-	a, b := subtreeHashSums(p.g, s.family, i, p.rho, p.advice)
+	a, b := subtreeHashSums(p.g, p.rho, p.advice, wordHasher(s.family, s.n, i))
 
 	resp := &network.Response{PerNode: make([]wire.Message, s.n)}
 	for v := 0; v < s.n; v++ {
 		resp.PerNode[v] = s.encodeSecond(symDMAMSecond{echo: i, a: a[v], b: b[v]})
 	}
 	return resp, nil
+}
+
+// rowHasher evaluates a Sym protocol's per-node row hashes h_i([row, r])
+// under one fixed seed i, in either residue type: uint64 for a one-word
+// family (sym-dmam, dsym-dam), *big.Int for sym-dam's.
+type rowHasher[T any] struct {
+	hash func(row int, r *bitset.Set) T
+	// add returns acc + b mod p; it may reuse acc's storage, so acc must
+	// be a value the caller owns.
+	add func(acc, b T) T
+}
+
+func wordHasher(f *hashing.LinearFamily, n int, i uint64) rowHasher[uint64] {
+	return rowHasher[uint64]{
+		hash: func(row int, r *bitset.Set) uint64 { return f.HashRowMatrix64(i, n, row, r) },
+		add:  f.AddMod64,
+	}
+}
+
+func bigHasher(f *hashing.LinearFamily, n int, i *big.Int) rowHasher[*big.Int] {
+	return rowHasher[*big.Int]{
+		hash: func(row int, r *bitset.Set) *big.Int { return f.HashRowMatrix(i, n, row, r) },
+		add:  f.AddModInto,
+	}
 }
 
 // subtreeHashSums computes, for every node v, the honest subtree aggregates
@@ -359,20 +375,20 @@ func (p *symDMAMProver) second(view *network.ProverView) (*network.Response, err
 //
 // in post-order over the tree described by advice. It is shared by the
 // provers of Protocols 1 and 2 and the DSym protocol.
-func subtreeHashSums(g *graph.Graph, family *hashing.LinearFamily, i *big.Int, rho perm.Perm, advice []spantree.Advice) (a, b []*big.Int) {
+func subtreeHashSums[T any](g *graph.Graph, rho perm.Perm, advice []spantree.Advice, h rowHasher[T]) (a, b []T) {
 	n := g.N()
-	a = make([]*big.Int, n)
-	b = make([]*big.Int, n)
+	a = make([]T, n)
+	b = make([]T, n)
 	children := spantree.ChildLists(advice)
 	closed := bitset.New(n)
 	mapped := bitset.New(n)
 	for _, v := range spantree.PostOrder(advice) {
-		av := family.HashRowMatrix(i, n, v, g.ClosedRowInto(v, closed))
+		av := h.hash(v, g.ClosedRowInto(v, closed))
 		closed.PermuteInto(mapped, rho)
-		bv := family.HashRowMatrix(i, n, rho[v], mapped)
+		bv := h.hash(rho[v], mapped)
 		for _, c := range children[v] {
-			av = family.AddModInto(av, a[c])
-			bv = family.AddModInto(bv, b[c])
+			av = h.add(av, a[c])
+			bv = h.add(bv, b[c])
 		}
 		a[v], b[v] = av, bv
 	}

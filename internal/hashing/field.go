@@ -269,13 +269,19 @@ func toBig(z []uint) *big.Int {
 // load1 returns x mod p for a one-limb field (see load).
 func (f *field) load1(x *big.Int) uint {
 	if x.IsUint64() {
-		if v := x.Uint64(); v < uint64(f.p0) {
-			return uint(v)
-		}
+		return f.reduce1(x.Uint64())
 	}
 	var buf [5]uint
 	f.load(buf[:1], x, buf[1:2], buf[2:])
 	return buf[0]
+}
+
+// reduce1 returns x mod p for a one-limb field.
+func (f *field) reduce1(x uint64) uint {
+	if p := uint64(f.p0); x >= p {
+		x %= p
+	}
+	return uint(x)
 }
 
 // enter sets z to the Montgomery form of x mod p (see load).
@@ -317,8 +323,9 @@ type powerSum1 struct {
 	i, cur, sum uint // Montgomery form
 }
 
-func (f *field) powerSum1(i *big.Int) powerSum1 {
-	return powerSum1{f: f, i: f.mul1(f.load1(i), f.r2[0])}
+// powerSum1 returns an empty sum under the plain residue i < p.
+func (f *field) powerSum1(i uint) powerSum1 {
+	return powerSum1{f: f, i: f.mul1(i, f.r2[0])}
 }
 
 func (s *powerSum1) add(e int) {
@@ -335,9 +342,9 @@ func (s *powerSum1) add(e int) {
 	s.sum = f.add1(s.sum, s.cur)
 }
 
-// result returns the sum as a plain residue in a new big.Int.
-func (s *powerSum1) result() *big.Int {
-	return toBig([]uint{s.f.mul1(s.sum, 1)})
+// result returns the sum as a plain residue.
+func (s *powerSum1) result() uint64 {
+	return uint64(s.f.mul1(s.sum, 1))
 }
 
 type powerSumK struct {

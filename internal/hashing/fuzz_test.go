@@ -40,7 +40,8 @@ func fuzzFamily(t *testing.T, window byte, n int) *LinearFamily {
 // prime's seed), n ∈ [2, 40] the matrix side, seed and neg the hash seed
 // (any size or sign, so out-of-range seeds are reduced as big.Int.Exp
 // reduces them), row and bits one row matrix, and bits read pairwise also
-// gives an unsorted coordinate list with repeats for HashIndicator. The
+// gives an unsorted coordinate list with repeats for HashIndicator. A
+// one-word modulus also runs the word entry points on the same inputs. The
 // seed corpus is checked in under testdata/fuzz/FuzzLinearFamily.
 func FuzzLinearFamily(f *testing.F) {
 	f.Fuzz(func(t *testing.T, window, nb byte, seedBytes []byte, neg bool, rowb byte, bits []byte) {
@@ -71,6 +72,20 @@ func FuzzLinearFamily(f *testing.F) {
 		}
 		if sum, want := fam.AddMod(i, got), refAddMod(p, i, got); sum.Cmp(want) != 0 {
 			t.Fatalf("p=%v AddMod(%v, %v) = %v, reference %v", p, i, got, sum, want)
+		}
+		if !fam.OneWord() {
+			return
+		}
+		wi := wordSeed(p, i)
+		if got, want := fam.HashRowMatrix64(wi, n, row, r), refHashRowMatrix(p, i, n, row, r); got != want.Uint64() {
+			t.Fatalf("p=%v HashRowMatrix64(%d, row %d, %v) = %d, reference %v", p, wi, row, r, got, want)
+		}
+		h := fam.HashIndicator64(wi, coords)
+		if want := refHashIndicator(p, i, coords); h != want.Uint64() {
+			t.Fatalf("p=%v HashIndicator64(%d, %v) = %d, reference %v", p, wi, coords, h, want)
+		}
+		if sum, want := fam.AddMod64(wi, h), refAddMod(p, i, new(big.Int).SetUint64(h)); sum != want.Uint64() {
+			t.Fatalf("p=%v AddMod64(%d, %d) = %d, reference %v", p, wi, h, sum, want)
 		}
 	})
 }

@@ -10,6 +10,7 @@ package hashing
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 	"math/rand"
 
 	"dip/internal/bitset"
@@ -29,13 +30,20 @@ import (
 //     difference is a non-zero polynomial of degree ≤ m in i.
 //
 // Every evaluation runs in one fixed-width Montgomery field built from p
-// when the family is made: a single machine word for Protocol 1's
-// cubic-window moduli, k words for Protocol 2's Θ(n log n)-bit ones. The
-// Montgomery form is only a change of representation and every value
-// leaves the field fully reduced, so the hash values are exactly those
-// of the definition above — byte-identical reports. A term costs a few
-// word multiplications, and HashIndicator, HashRowMatrix and AddMod
-// allocate nothing but their result.
+// when the family is made: a single machine word for the cubic-window
+// moduli (p ≤ 100n³) of sym-dmam, dsym-dam and sym-rpls, k words for
+// sym-dam's Θ(n log n)-bit power-window ones. The Montgomery form is only
+// a change of representation and every value leaves the field fully
+// reduced, so the hash values are exactly those of the definition above —
+// byte-identical reports. A term costs a few word multiplications.
+//
+// Residues come in two types. A one-word family (OneWord) has word entry
+// points — RandomSeed64, HashRowMatrix64, HashIndicator64, AddMod64 —
+// that take and return uint64 residues and allocate nothing; the
+// cubic-window protocols carry their residues in that type end to end.
+// The *big.Int methods serve every modulus: on a one-word family they
+// delegate to the word entry points, so one one-limb kernel remains, and
+// they allocate nothing but their result.
 type LinearFamily struct {
 	m  int      // dimension of the hashed vectors
 	p  *big.Int // prime modulus; |H| = p
@@ -75,9 +83,36 @@ func (f *LinearFamily) RandomSeed(rng *rand.Rand) *big.Int {
 	return new(big.Int).Rand(rng, f.p)
 }
 
-// ValidSeed reports whether i is a valid hash index (0 ≤ i < p).
-func (f *LinearFamily) ValidSeed(i *big.Int) bool {
-	return i.Sign() >= 0 && i.Cmp(f.p) < 0
+// OneWord reports whether p fits one machine word, so that the word entry
+// points (RandomSeed64, HashRowMatrix64, HashIndicator64, AddMod64) apply.
+// Every cubic-window modulus does on a 64-bit machine.
+func (f *LinearFamily) OneWord() bool { return f.fp.k() == 1 }
+
+// word returns the one-limb field behind the word entry points.
+func (f *LinearFamily) word() *field {
+	if f.fp.k() != 1 {
+		panic(fmt.Sprintf("hashing: word entry point on a %d-word modulus", f.fp.k()))
+	}
+	return f.fp
+}
+
+// RandomSeed64 is RandomSeed for a one-word family. It consumes rng
+// exactly as big.Int.Rand does — one Uint32 draw per 32 bits of a
+// candidate word, low half first, masked to p's bit length and redrawn
+// until below p — so it returns the same index from the same stream, and
+// challenge streams stay byte-identical to the *big.Int draw.
+func (f *LinearFamily) RandomSeed64(rng *rand.Rand) uint64 {
+	p := uint64(f.word().p0)
+	mask := ^uint64(0) >> (64 - bits.Len64(p))
+	for {
+		v := uint64(rng.Uint32())
+		if bits.UintSize == 64 { // big.Int draws one Uint32 per 32-bit word
+			v |= uint64(rng.Uint32()) << 32
+		}
+		if v &= mask; v < p {
+			return v
+		}
+	}
 }
 
 // HashIndicator evaluates h_i on the characteristic vector of the given
@@ -89,15 +124,21 @@ func (f *LinearFamily) ValidSeed(i *big.Int) bool {
 // outside [0, p) is reduced mod p first.
 func (f *LinearFamily) HashIndicator(i *big.Int, coords []int) *big.Int {
 	if f.fp.k() == 1 {
-		s := f.fp.powerSum1(i)
-		for _, j := range coords {
-			f.checkCoord(j)
-			s.add(j + 1)
-		}
-		return s.result()
+		return new(big.Int).SetUint64(f.HashIndicator64(uint64(f.fp.load1(i)), coords))
 	}
 	var buf [stackScratch]uint
 	s := f.fp.powerSumK(i, buf[:])
+	for _, j := range coords {
+		f.checkCoord(j)
+		s.add(j + 1)
+	}
+	return s.result()
+}
+
+// HashIndicator64 is HashIndicator for a one-word family.
+func (f *LinearFamily) HashIndicator64(i uint64, coords []int) uint64 {
+	fp := f.word()
+	s := fp.powerSum1(fp.reduce1(i))
 	for _, j := range coords {
 		f.checkCoord(j)
 		s.add(j + 1)
@@ -118,6 +159,30 @@ func (f *LinearFamily) checkCoord(j int) {
 // node v hashes [v, N(v)] and [ρ(v), ρ(N(v))]. The set columns are walked
 // ascending, so only the lowest one pays a full exponentiation.
 func (f *LinearFamily) HashRowMatrix(i *big.Int, n, row int, r *bitset.Set) *big.Int {
+	if f.fp.k() == 1 {
+		return new(big.Int).SetUint64(f.HashRowMatrix64(uint64(f.fp.load1(i)), n, row, r))
+	}
+	f.checkRow(n, row, r)
+	var buf [stackScratch]uint
+	s := f.fp.powerSumK(i, buf[:])
+	for c := r.NextSet(0); c >= 0; c = r.NextSet(c + 1) {
+		s.add(row*n + c + 1)
+	}
+	return s.result()
+}
+
+// HashRowMatrix64 is HashRowMatrix for a one-word family.
+func (f *LinearFamily) HashRowMatrix64(i uint64, n, row int, r *bitset.Set) uint64 {
+	fp := f.word()
+	f.checkRow(n, row, r)
+	s := fp.powerSum1(fp.reduce1(i))
+	for c := r.NextSet(0); c >= 0; c = r.NextSet(c + 1) {
+		s.add(row*n + c + 1)
+	}
+	return s.result()
+}
+
+func (f *LinearFamily) checkRow(n, row int, r *bitset.Set) {
 	if n*n != f.m {
 		panic(fmt.Sprintf("hashing: matrix side %d for family dimension %d", n, f.m))
 	}
@@ -127,19 +192,6 @@ func (f *LinearFamily) HashRowMatrix(i *big.Int, n, row int, r *bitset.Set) *big
 	if r.Len() != n {
 		panic(fmt.Sprintf("hashing: row vector of length %d, want %d", r.Len(), n))
 	}
-	if f.fp.k() == 1 {
-		s := f.fp.powerSum1(i)
-		for c := r.NextSet(0); c >= 0; c = r.NextSet(c + 1) {
-			s.add(row*n + c + 1)
-		}
-		return s.result()
-	}
-	var buf [stackScratch]uint
-	s := f.fp.powerSumK(i, buf[:])
-	for c := r.NextSet(0); c >= 0; c = r.NextSet(c + 1) {
-		s.add(row*n + c + 1)
-	}
-	return s.result()
 }
 
 // HashDense evaluates h_i on an arbitrary vector x over Z_p given as int64
@@ -180,7 +232,7 @@ func (f *LinearFamily) AddMod(a, b *big.Int) *big.Int {
 // loops allocate nothing once dst has room for a residue.
 func (f *LinearFamily) AddModInto(dst, b *big.Int) *big.Int {
 	if f.fp.k() == 1 {
-		return dst.SetUint64(uint64(f.fp.add1(f.fp.load1(dst), f.fp.load1(b))))
+		return dst.SetUint64(f.AddMod64(uint64(f.fp.load1(dst)), uint64(f.fp.load1(b))))
 	}
 	var buf [stackLimbs]uint
 	z := scratch(buf[:], f.fp.k())
@@ -194,4 +246,10 @@ func (f *LinearFamily) AddModInto(dst, b *big.Int) *big.Int {
 		w[j] = big.Word(v)
 	}
 	return dst.SetBits(w)
+}
+
+// AddMod64 is AddMod for a one-word family.
+func (f *LinearFamily) AddMod64(a, b uint64) uint64 {
+	fp := f.word()
+	return uint64(fp.add1(fp.reduce1(a), fp.reduce1(b)))
 }

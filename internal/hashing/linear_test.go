@@ -201,6 +201,11 @@ func TestCollisionRateAtProtocolParameters(t *testing.T) {
 	}
 }
 
+// ValidSeed reports whether i is a valid hash index (0 ≤ i < p).
+func (f *LinearFamily) ValidSeed(i *big.Int) bool {
+	return i.Sign() >= 0 && i.Cmp(f.p) < 0
+}
+
 func TestSeedHelpers(t *testing.T) {
 	f := mustFamily(t, 4, 101)
 	rng := rand.New(rand.NewSource(5))
@@ -220,5 +225,79 @@ func TestSeedHelpers(t *testing.T) {
 	f.P().SetInt64(7)
 	if f.P().Int64() != 101 {
 		t.Fatal("P aliases internal state")
+	}
+}
+
+// TestRandomSeed64MatchesBigRand pins the word draw to big.Int.Rand: from
+// the same stream, both must return the same index and leave the stream at
+// the same point. It covers every modulus width a one-word family can have
+// (2..64 bits, which includes every cubic-window width), with the modulus
+// just above a power of two — where about half the candidates are redrawn
+// — at the top of the width, and random in between, over 10⁴+ seeds.
+func TestRandomSeed64MatchesBigRand(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	seeds := 0
+	for w := 2; w <= 64; w++ {
+		top := new(big.Int).Lsh(big.NewInt(1), uint(w))
+		low := new(big.Int).Rsh(top, 1)
+		moduli := []*big.Int{
+			new(big.Int).Add(low, big.NewInt(1)),
+			new(big.Int).Sub(top, big.NewInt(1)),
+			new(big.Int).Or(new(big.Int).Add(low, new(big.Int).Rand(rng, low)), big.NewInt(1)),
+		}
+		for _, p := range moduli {
+			if p.Cmp(big.NewInt(3)) < 0 {
+				continue
+			}
+			f, err := NewLinearFamily(1, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < 60; k++ {
+				seed := rng.Int63()
+				a, b := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				for d := 0; d < 4; d++ {
+					got, want := f.RandomSeed64(a), f.RandomSeed(b)
+					if want.Uint64() != got {
+						t.Fatalf("p=%v seed %d draw %d: RandomSeed64 = %d, big.Int.Rand = %v", p, seed, d, got, want)
+					}
+				}
+				if a.Int63() != b.Int63() {
+					t.Fatalf("p=%v seed %d: streams diverge after the draws", p, seed)
+				}
+				seeds++
+			}
+		}
+	}
+	if seeds < 10000 {
+		t.Fatalf("only %d seeds covered", seeds)
+	}
+}
+
+// TestWordEntryPointsRefuseKLimbs checks that a multi-word family panics
+// on the word entry points instead of truncating its modulus.
+func TestWordEntryPointsRefuseKLimbs(t *testing.T) {
+	p := new(big.Int).Add(new(big.Int).Lsh(big.NewInt(1), 64), big.NewInt(13))
+	f, err := NewLinearFamily(4, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.OneWord() {
+		t.Fatal("a 65-bit modulus reported as one word")
+	}
+	for name, call := range map[string]func(){
+		"RandomSeed64":    func() { f.RandomSeed64(rand.New(rand.NewSource(1))) },
+		"HashIndicator64": func() { f.HashIndicator64(1, []int{0}) },
+		"HashRowMatrix64": func() { f.HashRowMatrix64(1, 2, 0, bitset.New(2)) },
+		"AddMod64":        func() { f.AddMod64(1, 2) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a 2-word modulus did not panic", name)
+				}
+			}()
+			call()
+		}()
 	}
 }

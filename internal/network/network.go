@@ -186,16 +186,6 @@ type NodeView struct {
 	NeighborResponses []map[int]wire.Message
 }
 
-// HasNeighbor reports whether u is a neighbor of this node.
-func (nv *NodeView) HasNeighbor(u int) bool {
-	for _, w := range nv.Neighbors {
-		if w == u {
-			return true
-		}
-	}
-	return false
-}
-
 // Result is the outcome of one protocol run. Results are freshly
 // allocated per run (never pooled) and safe to retain indefinitely.
 type Result struct {

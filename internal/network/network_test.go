@@ -392,13 +392,6 @@ func TestInputsDelivered(t *testing.T) {
 	}
 }
 
-func TestHasNeighbor(t *testing.T) {
-	nv := &NodeView{Neighbors: []int{1, 4}}
-	if !nv.HasNeighbor(4) || nv.HasNeighbor(2) {
-		t.Fatal("HasNeighbor wrong")
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if Arthur.String() != "Arthur" || Merlin.String() != "Merlin" {
 		t.Fatal("Kind strings wrong")

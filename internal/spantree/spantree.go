@@ -78,10 +78,10 @@ func Compute(g *graph.Graph, root int) ([]Advice, error) {
 }
 
 // VerifyLocal runs node v's local acceptance test given its own advice and
-// its neighbors' advice (keyed by neighbor id). isNeighbor must report
-// membership in N(v).
-func VerifyLocal(v int, mine Advice, neighbors map[int]Advice, isNeighbor func(u int) bool) bool {
-	for _, a := range neighbors {
+// its neighbors' advice: neighbors is N(v) and advice[j] is the label of
+// neighbors[j].
+func VerifyLocal(v int, mine Advice, neighbors []int, advice []Advice) bool {
+	for _, a := range advice {
 		if a.Root != mine.Root {
 			return false
 		}
@@ -89,37 +89,45 @@ func VerifyLocal(v int, mine Advice, neighbors map[int]Advice, isNeighbor func(u
 	if v == mine.Root {
 		return mine.Parent == v && mine.Dist == 0
 	}
-	if !isNeighbor(mine.Parent) {
-		return false
+	for j, u := range neighbors {
+		if u == mine.Parent {
+			return advice[j].Dist == mine.Dist-1
+		}
 	}
-	pa, ok := neighbors[mine.Parent]
-	if !ok {
-		return false
-	}
-	return pa.Dist == mine.Dist-1
+	return false // the parent is not a neighbor
 }
 
-// Children returns the tree children of v among its neighbors: the
-// neighbors whose parent pointer is v. This is the set C(v) of Protocols 1
-// and 2.
-func Children(v int, neighbors map[int]Advice) []int {
+// Children returns the tree children of v among its neighbors — the set
+// C(v) of Protocols 1 and 2, the neighbors whose parent pointer is v — as
+// positions j into advice, which is laid out as for VerifyLocal. The
+// positions ascend, so children come in neighbor order. A neighbor that
+// points to itself is the root, nobody's child.
+func Children(v int, advice []Advice) []int {
 	var out []int
-	for u, a := range neighbors {
-		if a.Parent == u {
-			// the root points to itself; it is nobody's child
-			continue
-		}
+	for j, a := range advice {
 		if a.Parent == v {
-			out = append(out, u)
+			out = append(out, j)
 		}
 	}
 	return out
 }
 
 // ChildLists derives, for the honest prover, the children of every node
-// from a full advice assignment.
+// from a full advice assignment. Each list is ascending, and all of them
+// share one backing array.
 func ChildLists(advice []Advice) [][]int {
+	count := make([]int, len(advice))
+	for v, a := range advice {
+		if a.Parent != v {
+			count[a.Parent]++
+		}
+	}
 	children := make([][]int, len(advice))
+	backing := make([]int, 0, len(advice))
+	for p, c := range count {
+		children[p] = backing[len(backing) : len(backing) : len(backing)+c]
+		backing = backing[:len(backing)+c]
+	}
 	for v, a := range advice {
 		if a.Parent != v {
 			children[a.Parent] = append(children[a.Parent], v)

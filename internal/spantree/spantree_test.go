@@ -13,12 +13,17 @@ import (
 func verifyAll(g *graph.Graph, advice []Advice) []bool {
 	out := make([]bool, g.N())
 	for v := 0; v < g.N(); v++ {
-		neighbors := map[int]Advice{}
-		for _, u := range g.Neighbors(v) {
-			neighbors[u] = advice[u]
-		}
-		isNeighbor := func(u int) bool { return g.HasEdge(v, u) }
-		out[v] = VerifyLocal(v, advice[v], neighbors, isNeighbor)
+		out[v] = VerifyLocal(v, advice[v], g.Neighbors(v), neighborAdvice(g, v, advice))
+	}
+	return out
+}
+
+// neighborAdvice lays out v's neighbors' advice as VerifyLocal and
+// Children take it: position j holds the label of g.Neighbors(v)[j].
+func neighborAdvice(g *graph.Graph, v int, advice []Advice) []Advice {
+	out := make([]Advice, 0, len(g.Neighbors(v)))
+	for _, u := range g.Neighbors(v) {
+		out = append(out, advice[u])
 	}
 	return out
 }
@@ -147,19 +152,108 @@ func TestChildren(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	neighbors := map[int]Advice{}
-	for _, u := range g.Neighbors(0) {
-		neighbors[u] = advice[u]
-	}
-	kids := Children(0, neighbors)
-	sort.Ints(kids)
+	kids := Children(0, neighborAdvice(g, 0, advice))
 	if len(kids) != 4 {
 		t.Fatalf("children of center = %v", kids)
 	}
 	// A leaf has no children.
-	leafNeighbors := map[int]Advice{0: advice[0]}
-	if got := Children(1, leafNeighbors); len(got) != 0 {
+	if got := Children(1, neighborAdvice(g, 1, advice)); len(got) != 0 {
 		t.Fatalf("children of leaf = %v", got)
+	}
+}
+
+// TestLocalViewTable runs VerifyLocal and Children on hand-built local
+// views: neighbors N(v) in the order a node's view lists them, with
+// advice[j] the label of neighbors[j]. Children answers positions into
+// those slices, ascending.
+func TestLocalViewTable(t *testing.T) {
+	cases := []struct {
+		name      string
+		v         int
+		mine      Advice
+		neighbors []int
+		advice    []Advice
+		accept    bool
+		children  []int
+	}{
+		{
+			name: "root pointing to itself", v: 2,
+			mine:      Advice{Root: 2, Parent: 2, Dist: 0},
+			neighbors: []int{1, 3},
+			advice:    []Advice{{Root: 2, Parent: 2, Dist: 1}, {Root: 2, Parent: 2, Dist: 1}},
+			accept:    true, children: []int{0, 1},
+		},
+		{
+			name: "root with a foreign parent", v: 2,
+			mine:      Advice{Root: 2, Parent: 1, Dist: 0},
+			neighbors: []int{1, 3},
+			advice:    []Advice{{Root: 2, Parent: 2, Dist: 1}, {Root: 2, Parent: 2, Dist: 1}},
+			accept:    false, children: []int{0, 1},
+		},
+		{
+			name: "neighbor root pointing to itself is nobody's child", v: 1,
+			mine:      Advice{Root: 0, Parent: 0, Dist: 1},
+			neighbors: []int{0, 2},
+			advice:    []Advice{{Root: 0, Parent: 0, Dist: 0}, {Root: 0, Parent: 1, Dist: 2}},
+			accept:    true, children: []int{1},
+		},
+		{
+			name: "parent not a neighbor", v: 1,
+			mine:      Advice{Root: 0, Parent: 5, Dist: 1},
+			neighbors: []int{0, 2},
+			advice:    []Advice{{Root: 0, Parent: 0, Dist: 0}, {Root: 0, Parent: 1, Dist: 2}},
+			accept:    false, children: []int{1},
+		},
+		{
+			name: "wrong distance", v: 1,
+			mine:      Advice{Root: 0, Parent: 0, Dist: 2},
+			neighbors: []int{0, 2},
+			advice:    []Advice{{Root: 0, Parent: 0, Dist: 0}, {Root: 0, Parent: 1, Dist: 3}},
+			accept:    false, children: []int{1},
+		},
+		{
+			name: "root mismatch", v: 1,
+			mine:      Advice{Root: 0, Parent: 0, Dist: 1},
+			neighbors: []int{0, 2},
+			advice:    []Advice{{Root: 0, Parent: 0, Dist: 0}, {Root: 2, Parent: 1, Dist: 2}},
+			accept:    false, children: []int{1},
+		},
+		{
+			name: "children in neighbor order", v: 4,
+			mine:      Advice{Root: 0, Parent: 0, Dist: 1},
+			neighbors: []int{0, 9, 2, 7, 5},
+			advice: []Advice{
+				{Root: 0, Parent: 0, Dist: 0},
+				{Root: 0, Parent: 4, Dist: 2},
+				{Root: 0, Parent: 4, Dist: 2},
+				{Root: 0, Parent: 2, Dist: 3},
+				{Root: 0, Parent: 4, Dist: 2},
+			},
+			accept: true, children: []int{1, 2, 4},
+		},
+		{
+			name: "leaf", v: 3,
+			mine:      Advice{Root: 0, Parent: 2, Dist: 2},
+			neighbors: []int{2},
+			advice:    []Advice{{Root: 0, Parent: 1, Dist: 1}},
+			accept:    true, children: nil,
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := VerifyLocal(c.v, c.mine, c.neighbors, c.advice); got != c.accept {
+				t.Errorf("VerifyLocal = %v, want %v", got, c.accept)
+			}
+			got := Children(c.v, c.advice)
+			if len(got) != len(c.children) {
+				t.Fatalf("Children = %v, want %v", got, c.children)
+			}
+			for j := range got {
+				if got[j] != c.children[j] {
+					t.Fatalf("Children = %v, want %v", got, c.children)
+				}
+			}
+		})
 	}
 }
 
